@@ -114,22 +114,6 @@ class BloomMatrix {
     QuerySubsetsBatch(probes.data(), probes.size());
   }
 
-  /// Stage-resumable slice of a batch probe: processes whole kernel groups
-  /// starting at probe index `begin` until at least `max_probes` probes have
-  /// run (rounded up to the group boundary) or the batch ends, and returns
-  /// the index of the first unprocessed probe (== n when finished). Running
-  /// the returned offsets to completion is bit-identical to one monolithic
-  /// QuerySupersetsBatch call — the group kernel is the unit of work either
-  /// way — which lets staged executors (tind/progressive.h) poll deadlines
-  /// between groups without holding partially-probed state. `begin` must be
-  /// a multiple of kBloomBatchGroupSize (0 or a previously returned value).
-  size_t QuerySupersetsBatchPartial(const BloomProbe* probes, size_t n,
-                                    size_t begin, size_t max_probes) const;
-
-  /// Stage-resumable QuerySubsetsBatch — same contract.
-  size_t QuerySubsetsBatchPartial(const BloomProbe* probes, size_t n,
-                                  size_t begin, size_t max_probes) const;
-
   /// Exact Bloom-level subset recheck for one column: true iff column
   /// `column`'s filter contains all set bits of `query`. Stops probing at
   /// the first missing row ("bloom/column_contains_rows_probed" counts the

@@ -10,51 +10,19 @@
 
 namespace tind {
 
-namespace {
-
-/// First group boundary at or past `begin + max_probes` (never below one
-/// whole group, so a resumable caller always makes progress).
-size_t PartialEnd(size_t n, size_t begin, size_t max_probes) {
-  const size_t want = std::max<size_t>(max_probes, 1);
-  const size_t rounded =
-      ((want + kBloomBatchGroupSize - 1) / kBloomBatchGroupSize) *
-      kBloomBatchGroupSize;
-  return std::min(n, begin + rounded);
-}
-
-}  // namespace
-
-size_t BloomMatrix::QuerySupersetsBatchPartial(const BloomProbe* probes,
-                                               size_t n, size_t begin,
-                                               size_t max_probes) const {
-  assert(begin % kBloomBatchGroupSize == 0);
-  const size_t end = PartialEnd(n, begin, max_probes);
-  for (size_t off = begin; off < end; off += kBloomBatchGroupSize) {
+void BloomMatrix::QuerySupersetsBatch(const BloomProbe* probes,
+                                      size_t n) const {
+  for (size_t off = 0; off < n; off += kBloomBatchGroupSize) {
     BatchGroupKernel(probes + off, std::min(kBloomBatchGroupSize, n - off),
                      /*subsets=*/false);
   }
-  return end;
-}
-
-size_t BloomMatrix::QuerySubsetsBatchPartial(const BloomProbe* probes, size_t n,
-                                             size_t begin,
-                                             size_t max_probes) const {
-  assert(begin % kBloomBatchGroupSize == 0);
-  const size_t end = PartialEnd(n, begin, max_probes);
-  for (size_t off = begin; off < end; off += kBloomBatchGroupSize) {
-    BatchGroupKernel(probes + off, std::min(kBloomBatchGroupSize, n - off),
-                     /*subsets=*/true);
-  }
-  return end;
-}
-
-void BloomMatrix::QuerySupersetsBatch(const BloomProbe* probes,
-                                      size_t n) const {
-  QuerySupersetsBatchPartial(probes, n, 0, n);
 }
 
 void BloomMatrix::QuerySubsetsBatch(const BloomProbe* probes, size_t n) const {
-  QuerySubsetsBatchPartial(probes, n, 0, n);
+  for (size_t off = 0; off < n; off += kBloomBatchGroupSize) {
+    BatchGroupKernel(probes + off, std::min(kBloomBatchGroupSize, n - off),
+                     /*subsets=*/true);
+  }
 }
 
 namespace {
@@ -90,6 +58,7 @@ void BloomMatrix::BatchGroupKernel(const BloomProbe* probes, size_t n,
   KernelScratch& scratch = GetScratch(num_bits_, row_words);
   uint64_t* touched = scratch.touched.data();
   uint64_t* touched_rows = scratch.touched_rows.data();
+  size_t filter_bits = 0;
   for (size_t b = 0; b < n; ++b) {
     assert(probes[b].filter->num_bits() == num_bits_);
     assert(probes[b].candidates->size() == num_columns_);
@@ -97,6 +66,7 @@ void BloomMatrix::BatchGroupKernel(const BloomProbe* probes, size_t n,
     probes[b].filter->bits().ForEachSet([&](size_t r) {
       touched[r] |= bit;
       touched_rows[r >> 6] |= 1ULL << (r & 63);
+      ++filter_bits;
     });
   }
 
@@ -179,13 +149,19 @@ void BloomMatrix::BatchGroupKernel(const BloomProbe* probes, size_t n,
 
   // Two call sites on purpose: the macro caches a static counter pointer
   // per expansion, so a ternary name would pin whichever direction ran
-  // first.
+  // first. Probe and row counts match what `n` scalar QuerySupersets /
+  // QuerySubsets calls would report, so rows-per-probe reads the same
+  // whichever kernel ran.
   if (subsets) {
     TIND_OBS_COUNTER_ADD("bloom/batch_subset_groups", 1);
+    TIND_OBS_COUNTER_ADD("bloom/subset_queries", n);
+    TIND_OBS_COUNTER_ADD("bloom/subset_rows_probed",
+                         n * num_bits_ - filter_bits);
   } else {
     TIND_OBS_COUNTER_ADD("bloom/batch_superset_groups", 1);
+    TIND_OBS_COUNTER_ADD("bloom/superset_queries", n);
+    TIND_OBS_COUNTER_ADD("bloom/superset_rows_probed", filter_bits);
   }
-  TIND_OBS_COUNTER_ADD("bloom/batch_probes", n);
   TIND_OBS_COUNTER_ADD("bloom/batch_rows_visited", rows_visited);
   TIND_OBS_COUNTER_ADD("bloom/batch_word_ops", word_ops);
   TIND_OBS_COUNTER_ADD("bloom/batch_blocks_skipped", blocks_skipped);

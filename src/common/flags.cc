@@ -1,10 +1,44 @@
 #include "common/flags.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 namespace tind {
 
 namespace {
+
+/// A numeric flag that does not parse must not silently run with 0: print
+/// the flag and exit with the InvalidArgument exit code.
+[[noreturn]] void RejectFlag(const std::string& key, const std::string& value,
+                             const char* expected) {
+  const Status status = Status::InvalidArgument(
+      "--" + key + "=" + value + ": expected " + expected);
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  std::exit(StatusExitCode(status));
+}
+
+/// Parses all of `text` as a base-10 integer (range-checked) or exits.
+int64_t ParseInt(const std::string& key, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE) {
+    RejectFlag(key, text, "an integer");
+  }
+  return value;
+}
+
+/// Parses all of `text` as a finite-range double or exits.
+double ParseDouble(const std::string& key, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno == ERANGE) {
+    RejectFlag(key, text, "a number");
+  }
+  return value;
+}
 
 std::vector<std::string> SplitCommas(const std::string& s) {
   std::vector<std::string> parts;
@@ -50,13 +84,13 @@ std::string Flags::GetString(const std::string& key,
 int64_t Flags::GetInt(const std::string& key, int64_t default_value) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return default_value;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return ParseInt(key, it->second);
 }
 
 double Flags::GetDouble(const std::string& key, double default_value) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return default_value;
-  return std::strtod(it->second.c_str(), nullptr);
+  return ParseDouble(key, it->second);
 }
 
 bool Flags::GetBool(const std::string& key, bool default_value) const {
@@ -71,7 +105,7 @@ std::vector<int64_t> Flags::GetIntList(
   if (it == values_.end()) return default_value;
   std::vector<int64_t> out;
   for (const auto& part : SplitCommas(it->second)) {
-    if (!part.empty()) out.push_back(std::strtoll(part.c_str(), nullptr, 10));
+    if (!part.empty()) out.push_back(ParseInt(key, part));
   }
   return out;
 }
@@ -82,7 +116,7 @@ std::vector<double> Flags::GetDoubleList(
   if (it == values_.end()) return default_value;
   std::vector<double> out;
   for (const auto& part : SplitCommas(it->second)) {
-    if (!part.empty()) out.push_back(std::strtod(part.c_str(), nullptr));
+    if (!part.empty()) out.push_back(ParseDouble(key, part));
   }
   return out;
 }

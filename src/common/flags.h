@@ -18,7 +18,10 @@ namespace tind {
 /// \brief Parsed command-line flags.
 ///
 /// Accepts `--key=value` and bare `--key` (interpreted as boolean true).
-/// Unrecognized positional arguments are collected separately.
+/// Unrecognized positional arguments are collected separately. The numeric
+/// getters (GetInt, GetDouble and the list forms) accept only a value that
+/// parses in full and in range; anything else prints the flag to stderr and
+/// exits with StatusExitCode(InvalidArgument).
 class Flags {
  public:
   /// Parses argv; never fails (malformed tokens become positionals).

@@ -680,8 +680,9 @@ void TindServer::ProcessStream(PendingRequest& request, const TindIndex& index,
     FinishRequest(request);
   };
 
-  // Under overload, a consenting stream stops at the Bloom superset just
-  // like a degraded batch request (the funnel's stages 2–4 are skipped).
+  // Under overload, a consenting stream answers with its stage-1 Bloom
+  // superset and skips stages 2–4. (A degraded batch request goes one
+  // stage further: it runs slice pruning and stops before the recheck.)
   if (degrade_window && request.request.allow_degraded) {
     respond_final(/*degraded=*/true, cursor.Superset());
     return;

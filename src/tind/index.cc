@@ -155,9 +155,7 @@ void TindIndex::BuildReverseCaches() {
   }
   // Minimum version-subinterval weights (Figure 6) for the slices reverse
   // queries probe. The weight depends only on (attribute, slice, build w),
-  // never on the query, so it is a build-time table; the summation order
-  // matches the on-the-fly loop below exactly, which keeps cached and
-  // uncached paths bit-identical.
+  // never on the query, so it is a build-time table.
   const size_t slices_to_use =
       std::min(options_.reverse_slices, slice_intervals_.size());
   reverse_min_weights_.assign(slices_to_use, {});
@@ -165,438 +163,24 @@ void TindIndex::BuildReverseCaches() {
     const Interval expanded =
         dataset_->domain().Clamp(slice_intervals_[j].Expanded(options_.delta));
     std::vector<double>& row = reverse_min_weights_[j];
-    row.assign(n_attrs, -1.0);
+    row.resize(n_attrs);
     for (size_t c = 0; c < n_attrs; ++c) {
-      const AttributeHistory& a =
-          dataset_->attribute(static_cast<AttributeId>(c));
-      const auto [first, last] = a.VersionRangeInInterval(expanded);
-      double min_w = -1;
-      for (int64_t v = first; v <= last; ++v) {
-        const Interval validity = a.ValidityInterval(v);
-        const Interval clipped{std::max(validity.begin, expanded.begin),
-                               std::min(validity.end, expanded.end)};
-        if (clipped.begin > clipped.end) continue;
-        const double w = options_.weight->Sum(clipped);
-        if (min_w < 0 || w < min_w) min_w = w;
-      }
-      row[c] = min_w;
+      row[c] = MinVersionWeight(
+          dataset_->attribute(static_cast<AttributeId>(c)), expanded,
+          *options_.weight);
     }
   }
-}
-
-bool TindIndex::PruneWithSlices(const AttributeHistory& query,
-                                const TindParams& params,
-                                BitVector* candidates,
-                                const StageDeadline* deadline) const {
-  // Violation bookkeeping only for surviving candidates; M_T pruning keeps
-  // this map small (Section 4.2.2). This is the structural difference from
-  // k-MANY, which must track all |D| candidates.
-  std::unordered_map<AttributeId, double> violations;
-  BitVector slice_candidates(candidates->size());
-  size_t slice_probes = 0;
-  size_t violation_updates = 0;
-  size_t pruned = 0;
-  bool completed = true;
-  for (size_t j = 0; j < slice_matrices_.size() && completed; ++j) {
-    if (candidates->None()) break;
-    const Interval& interval = slice_intervals_[j];
-    const BloomMatrix& matrix = slice_matrices_[j];
-    const auto [first, last] = query.VersionRangeInInterval(interval);
-    for (int64_t v = first; v <= last; ++v) {
-      // Every probe removes candidates monotonically, so abandoning the loop
-      // mid-slice still leaves a sound superset of the exact answer.
-      if (deadline != nullptr && deadline->Expired()) {
-        completed = false;
-        break;
-      }
-      const ValueSet& version = query.versions()[static_cast<size_t>(v)];
-      if (version.empty()) continue;
-      // The violated sub-interval is the version's validity clipped to I
-      // (Algorithm 1, lines 6-9 walk version boundaries within I).
-      const Interval validity = query.ValidityInterval(v);
-      const Interval clipped{std::max(validity.begin, interval.begin),
-                             std::min(validity.end, interval.end)};
-      if (clipped.begin > clipped.end) continue;
-      const BloomFilter filter = matrix.MakeQueryFilter(version);
-      slice_candidates = *candidates;
-      matrix.QuerySupersets(filter, &slice_candidates);
-      ++slice_probes;
-      // PV = C ∧ ¬C_ij: candidates that failed this version's containment.
-      BitVector partial = *candidates;
-      partial.AndNot(slice_candidates);
-      if (partial.None()) continue;
-      const double weight = params.weight->Sum(clipped);
-      partial.ForEachSet([&](size_t c) {
-        double& vio = violations[static_cast<AttributeId>(c)];
-        vio += weight;
-        ++violation_updates;
-        if (vio > params.epsilon + kViolationTolerance) {
-          candidates->Clear(c);  // Pruned (Algorithm 1, line 14).
-          ++pruned;
-        }
-      });
-    }
-  }
-  TIND_OBS_COUNTER_ADD("search/slice_probes", slice_probes);
-  TIND_OBS_COUNTER_ADD("search/partial_violation_updates", violation_updates);
-  TIND_OBS_COUNTER_ADD("search/slice_pruned_candidates", pruned);
-  return completed;
-}
-
-bool TindIndex::PruneReverseWithSlices(const AttributeHistory& query,
-                                       const TindParams& params,
-                                       BitVector* candidates,
-                                       const StageDeadline* deadline) const {
-  std::unordered_map<AttributeId, double> violations;
-  size_t slice_probes = 0;
-  size_t violation_updates = 0;
-  size_t pruned = 0;
-  size_t min_weights_cached = 0;
-  bool completed = true;
-  // The build-time minimum-weight table is only valid for the weight object
-  // the index was built with; other weights fall back to on-the-fly sums
-  // (bit-identical either way, since the cache was filled by the same loop).
-  const bool weights_cached = params.weight == options_.weight;
-  const size_t slices_to_use =
-      std::min(options_.reverse_slices, slice_matrices_.size());
-  for (size_t j = 0; j < slices_to_use; ++j) {
-    if (candidates->None()) break;
-    if (deadline != nullptr && deadline->Expired()) {
-      completed = false;
-      break;
-    }
-    const Interval& interval = slice_intervals_[j];
-    const BloomMatrix& matrix = slice_matrices_[j];
-    // Columns hold A[I^δ]; the query side is expanded by a further δ so a
-    // Bloom-level non-containment proves a genuine δ-violation of some
-    // version of A within I^δ (Section 4.5).
-    const Interval query_window =
-        dataset_->domain().Clamp(interval.Expanded(2 * options_.delta));
-    const ValueSet query_values = query.UnionInInterval(query_window);
-    const BloomFilter filter = matrix.MakeQueryFilter(query_values);
-    BitVector slice_candidates = *candidates;
-    matrix.QuerySubsets(filter, &slice_candidates);
-    ++slice_probes;
-    BitVector partial = *candidates;
-    partial.AndNot(slice_candidates);
-    if (partial.None()) continue;
-    const Interval expanded =
-        dataset_->domain().Clamp(interval.Expanded(options_.delta));
-    partial.ForEachSet([&](size_t c) {
-      // The Bloom filters cannot reveal *which* version of A violated, so
-      // only the minimum version-subinterval weight may be added (Figure 6).
-      double min_weight = -1;
-      if (weights_cached && j < reverse_min_weights_.size()) {
-        min_weight = reverse_min_weights_[j][c];
-        ++min_weights_cached;
-      } else {
-        const AttributeHistory& a =
-            dataset_->attribute(static_cast<AttributeId>(c));
-        const auto [first, last] = a.VersionRangeInInterval(expanded);
-        for (int64_t v = first; v <= last; ++v) {
-          const Interval validity = a.ValidityInterval(v);
-          const Interval clipped{std::max(validity.begin, expanded.begin),
-                                 std::min(validity.end, expanded.end)};
-          if (clipped.begin > clipped.end) continue;
-          const double w = params.weight->Sum(clipped);
-          if (min_weight < 0 || w < min_weight) min_weight = w;
-        }
-      }
-      if (min_weight <= 0) return;
-      double& vio = violations[static_cast<AttributeId>(c)];
-      vio += min_weight;
-      ++violation_updates;
-      if (vio > params.epsilon + kViolationTolerance) {
-        candidates->Clear(c);
-        ++pruned;
-      }
-    });
-  }
-  TIND_OBS_COUNTER_ADD("reverse/slice_probes", slice_probes);
-  TIND_OBS_COUNTER_ADD("reverse/partial_violation_updates", violation_updates);
-  TIND_OBS_COUNTER_ADD("reverse/slice_pruned_candidates", pruned);
-  TIND_OBS_COUNTER_ADD("reverse/min_weights_cached", min_weights_cached);
-  return completed;
-}
-
-std::vector<AttributeId> TindIndex::ValidateCandidates(
-    const AttributeHistory& query, const TindParams& params,
-    const BitVector& candidates, bool forward, QueryStats* stats,
-    ThreadPool* pool, const CancellationToken* cancel,
-    const StageDeadline* deadline) const {
-  TIND_OBS_SCOPED_TIMER("validate");
-  Stopwatch stage_timer;
-  const std::vector<size_t> ids = candidates.ToIndexVector();
-  std::vector<char> valid(ids.size(), 0);
-  std::atomic<size_t> validations_run{0};
-  const auto expired = [&]() {
-    return (cancel != nullptr && cancel->cancelled()) ||
-           (deadline != nullptr && deadline->Expired());
-  };
-  const auto validate_one = [&](size_t i) {
-    // Validation is the most expensive stage, so cancellation is polled per
-    // candidate: once the token fires, at most the in-flight validations
-    // (one per worker) complete before the query is abandoned.
-    if (expired()) return;
-    validations_run.fetch_add(1, std::memory_order_relaxed);
-    const AttributeHistory& a =
-        dataset_->attribute(static_cast<AttributeId>(ids[i]));
-    const bool ok = forward
-                        ? ValidateTind(query, a, params, dataset_->domain())
-                        : ValidateTind(a, query, params, dataset_->domain());
-    valid[i] = ok ? 1 : 0;
-  };
-  if (pool != nullptr && ids.size() >= 8) {
-    pool->ParallelFor(0, ids.size(), validate_one);
-  } else {
-    for (size_t i = 0; i < ids.size(); ++i) validate_one(i);
-  }
-  TIND_OBS_COUNTER_ADD("search/validations", validations_run.load());
-  if (stats != nullptr) stats->validations = validations_run.load();
-  if (expired()) {
-    // A partially validated answer is neither exact nor a sound superset —
-    // return nothing and flag the abandonment.
-    if (stats != nullptr) {
-      stats->cancelled = true;
-      stats->num_results = 0;
-      stats->validate_ms = stage_timer.ElapsedMillis();
-    }
-    return {};
-  }
-  std::vector<AttributeId> results;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (valid[i]) results.push_back(static_cast<AttributeId>(ids[i]));
-  }
-  if (stats != nullptr) {
-    stats->num_results = results.size();
-    stats->validate_ms = stage_timer.ElapsedMillis();
-  }
-  return results;
-}
-
-void TindIndex::ForwardProbeStage(const AttributeHistory& query,
-                                  const TindParams& params,
-                                  BitVector* candidates, ValueSet* required,
-                                  QueryStats* stats) const {
-  Stopwatch stage_timer;
-  *candidates = BitVector(dataset_->size(), /*fill=*/true);
-  // Exclude the query itself when it is an indexed attribute: reflexive
-  // tINDs hold trivially.
-  if (query.id() < dataset_->size() &&
-      &dataset_->attribute(query.id()) == &query) {
-    candidates->Clear(query.id());
-  }
-  // Required values against M_T (sound for every ε, w, δ).
-  *required = ComputeRequiredValues(query, *params.weight, params.epsilon);
-  {
-    TIND_OBS_SCOPED_TIMER("m_t_probe");
-    if (!required->empty()) {
-      const BloomFilter filter = full_matrix_.MakeQueryFilter(*required);
-      full_matrix_.QuerySupersets(filter, candidates);
-    }
-  }
-  if (stats != nullptr) {
-    stats->used_prefilter = !required->empty();
-    stats->initial_candidates = candidates->Count();
-    stats->probe_ms = stage_timer.ElapsedMillis();
-  }
-  TIND_OBS_COUNTER_ADD("search/candidates_after_m_t", candidates->Count());
-}
-
-bool TindIndex::ForwardSliceStage(const AttributeHistory& query,
-                                  const TindParams& params,
-                                  const QueryPlan& plan, BitVector* candidates,
-                                  QueryStats* stats,
-                                  const StageDeadline* deadline) const {
-  Stopwatch stage_timer;
-  // Time slices are only sound if the query's δ does not exceed the build δ
-  // (Section 4.4); the planner may additionally skip them as unprofitable.
-  const bool slices_usable = params.delta <= options_.delta;
-  const bool run = slices_usable && !plan.skip_slices;
-  bool completed = true;
-  {
-    TIND_OBS_SCOPED_TIMER("slice_prune");
-    if (run) completed = PruneWithSlices(query, params, candidates, deadline);
-  }
-  if (stats != nullptr) {
-    stats->used_slices = run;
-    stats->after_slices = candidates->Count();
-    stats->plan_skipped_slices = slices_usable && plan.skip_slices;
-    stats->slices_ms = stage_timer.ElapsedMillis();
-  }
-  TIND_OBS_COUNTER_ADD("search/candidates_after_slices", candidates->Count());
-  return completed;
-}
-
-void TindIndex::ForwardRecheckStage(const ValueSet& required,
-                                    const QueryPlan& plan,
-                                    BitVector* candidates,
-                                    QueryStats* stats) const {
-  Stopwatch stage_timer;
-  // Exact required-values recheck to shed Bloom false positives before the
-  // expensive temporal validation (Algorithm 1, line 16).
-  {
-    TIND_OBS_SCOPED_TIMER("exact_recheck");
-    if (!plan.skip_recheck && !required.empty()) {
-      candidates->ForEachSet([&](size_t c) {
-        if (!required.IsSubsetOf(
-                dataset_->attribute(static_cast<AttributeId>(c)).AllValues())) {
-          candidates->Clear(c);
-        }
-      });
-    }
-  }
-  if (stats != nullptr) {
-    stats->after_exact_check = candidates->Count();
-    stats->plan_skipped_recheck = plan.skip_recheck;
-    stats->recheck_ms = stage_timer.ElapsedMillis();
-  }
-}
-
-void TindIndex::ReverseProbeStage(const AttributeHistory& query,
-                                  const TindParams& params,
-                                  BitVector* candidates,
-                                  QueryStats* stats) const {
-  Stopwatch stage_timer;
-  *candidates = BitVector(dataset_->size(), /*fill=*/true);
-  if (query.id() < dataset_->size() &&
-      &dataset_->attribute(query.id()) == &query) {
-    candidates->Clear(query.id());
-  }
-  // M_R in the subset direction. Only sound when the query ε does not
-  // exceed the ε the required values were built with (Section 4.5).
-  const bool prefilter_usable =
-      has_reverse_ && params.epsilon <= options_.epsilon + kViolationTolerance;
-  {
-    TIND_OBS_SCOPED_TIMER("m_r_probe");
-    if (prefilter_usable) {
-      const BloomFilter filter =
-          reverse_matrix_.MakeQueryFilter(query.AllValues());
-      reverse_matrix_.QuerySubsets(filter, candidates);
-    }
-  }
-  if (stats != nullptr) {
-    stats->used_prefilter = prefilter_usable;
-    stats->initial_candidates = candidates->Count();
-    stats->probe_ms = stage_timer.ElapsedMillis();
-  }
-  TIND_OBS_COUNTER_ADD("reverse/candidates_after_m_r", candidates->Count());
-}
-
-bool TindIndex::ReverseSliceStage(const AttributeHistory& query,
-                                  const TindParams& params,
-                                  const QueryPlan& plan, BitVector* candidates,
-                                  QueryStats* stats,
-                                  const StageDeadline* deadline) const {
-  Stopwatch stage_timer;
-  const bool slices_usable = params.delta <= options_.delta;
-  const bool run = slices_usable && !plan.skip_slices;
-  bool completed = true;
-  {
-    TIND_OBS_SCOPED_TIMER("slice_prune");
-    if (run) {
-      completed = PruneReverseWithSlices(query, params, candidates, deadline);
-    }
-  }
-  if (stats != nullptr) {
-    stats->used_slices = run;
-    stats->after_slices = candidates->Count();
-    stats->plan_skipped_slices = slices_usable && plan.skip_slices;
-    stats->slices_ms = stage_timer.ElapsedMillis();
-  }
-  return completed;
-}
-
-void TindIndex::ReverseRecheckStage(const AttributeHistory& query,
-                                    const TindParams& params,
-                                    const QueryPlan& plan,
-                                    BitVector* candidates,
-                                    QueryStats* stats) const {
-  Stopwatch stage_timer;
-  const bool prefilter_usable =
-      has_reverse_ && params.epsilon <= options_.epsilon + kViolationTolerance;
-  // Exact recheck — R(A) must truly be contained in Q[T].
-  {
-    TIND_OBS_SCOPED_TIMER("exact_recheck");
-    if (prefilter_usable && !plan.skip_recheck) {
-      // The recheck always evaluates at the build (ε, w) — exactly what
-      // required_values_ holds (it is populated whenever has_reverse_ is).
-      assert(required_values_.size() == dataset_->size());
-      const ValueSet& query_all = query.AllValues();
-      candidates->ForEachSet([&](size_t c) {
-        if (!required_values_[c].IsSubsetOf(query_all)) candidates->Clear(c);
-      });
-    }
-  }
-  if (stats != nullptr) {
-    stats->after_exact_check = candidates->Count();
-    stats->plan_skipped_recheck = plan.skip_recheck;
-    stats->recheck_ms = stage_timer.ElapsedMillis();
-  }
-}
-
-std::vector<AttributeId> TindIndex::Search(const AttributeHistory& query,
-                                           const TindParams& params,
-                                           QueryStats* stats,
-                                           ThreadPool* pool) const {
-  return Search(query, params, QueryPlan{}, stats, pool);
-}
-
-std::vector<AttributeId> TindIndex::Search(const AttributeHistory& query,
-                                           const TindParams& params,
-                                           const QueryPlan& plan,
-                                           QueryStats* stats,
-                                           ThreadPool* pool) const {
-  Stopwatch timer;
-  assert(params.weight != nullptr);
-  TIND_OBS_SCOPED_TIMER("search");
-  TIND_OBS_COUNTER_ADD("search/queries", 1);
-  BitVector candidates;
-  ValueSet required;
-  ForwardProbeStage(query, params, &candidates, &required, stats);
-  ForwardSliceStage(query, params, plan, &candidates, stats);
-  ForwardRecheckStage(required, plan, &candidates, stats);
-  std::vector<AttributeId> results =
-      ValidateCandidates(query, params, candidates, /*forward=*/true, stats, pool);
-  if (stats != nullptr) stats->elapsed_ms = timer.ElapsedMillis();
-  return results;
-}
-
-std::vector<AttributeId> TindIndex::ReverseSearch(const AttributeHistory& query,
-                                                  const TindParams& params,
-                                                  QueryStats* stats,
-                                                  ThreadPool* pool) const {
-  return ReverseSearch(query, params, QueryPlan{}, stats, pool);
-}
-
-std::vector<AttributeId> TindIndex::ReverseSearch(const AttributeHistory& query,
-                                                  const TindParams& params,
-                                                  const QueryPlan& plan,
-                                                  QueryStats* stats,
-                                                  ThreadPool* pool) const {
-  Stopwatch timer;
-  assert(params.weight != nullptr);
-  TIND_OBS_SCOPED_TIMER("reverse_search");
-  TIND_OBS_COUNTER_ADD("reverse/queries", 1);
-  BitVector candidates;
-  ReverseProbeStage(query, params, &candidates, stats);
-  ReverseSliceStage(query, params, plan, &candidates, stats);
-  ReverseRecheckStage(query, params, plan, &candidates, stats);
-  std::vector<AttributeId> results = ValidateCandidates(
-      query, params, candidates, /*forward=*/false, stats, pool);
-  if (stats != nullptr) stats->elapsed_ms = timer.ElapsedMillis();
-  return results;
 }
 
 namespace {
 
-/// One planned slice probe of a batch group: query `b`'s filter for one
-/// version (forward) or one slice window (reverse), plus the candidate
-/// snapshot the kernel narrows in place. Snapshots are taken at the top of
-/// the slice; that is equivalent to the sequential code's per-version
-/// seeding because candidates only ever lose bits within a slice, so for
-/// the surviving set C ⊆ S:  C ∧ ¬(S ∧ rows) = C ∧ ¬rows — the partial
-/// violation sets come out identical.
+/// One planned slice probe of a group: member `b`'s filter for one version
+/// (forward) or one slice window (reverse), plus the candidate snapshot the
+/// kernel narrows in place. Snapshots are taken at the top of the slice;
+/// that is equivalent to per-version seeding because candidates only ever
+/// lose bits within a slice, so for the surviving set C ⊆ S:
+/// C ∧ ¬(S ∧ rows) = C ∧ ¬rows — the partial violation sets come out
+/// identical.
 struct BatchSliceTask {
   size_t b = 0;
   double weight = 0;  ///< Violation weight to add per failing candidate.
@@ -611,40 +195,302 @@ const std::vector<double>& GroupSizeBounds() {
   return bounds;
 }
 
+std::vector<AttributeId> ToAttributeIds(const BitVector& candidates) {
+  const std::vector<size_t> ids = candidates.ToIndexVector();
+  return std::vector<AttributeId>(ids.begin(), ids.end());
+}
+
 }  // namespace
 
-void TindIndex::BatchPruneWithSlices(const AttributeHistory* const* queries,
-                                     size_t n, const TindParams& params,
-                                     const CancellationToken* const* cancels,
-                                     BitVector* candidates) const {
-  std::vector<std::unordered_map<AttributeId, double>> violations(n);
+bool TindIndex::Group::PollCancel(size_t b) {
+  if (abandoned[b]) return true;
+  if (cancels.empty() || cancels[b] == nullptr || !cancels[b]->cancelled()) {
+    return false;
+  }
+  Abandon(b);
+  return true;
+}
+
+void TindIndex::Group::Abandon(size_t b) {
+  // Candidates are deliberately kept: every completed prune was sound, so
+  // they remain a valid over-approximation for degraded answers.
+  if (!abandoned[b]) TIND_OBS_COUNTER_ADD("index/batch_cancelled_queries", 1);
+  abandoned[b] = 1;
+  stats[b].cancelled = true;
+  stats[b].num_results = 0;
+  results[b].clear();
+}
+
+TindIndex::Group TindIndex::MakeGroup(const AttributeHistory* const* queries,
+                                      size_t n, const TindParams& params,
+                                      bool forward,
+                                      const CancellationToken* const* cancels)
+    const {
+  assert(params.weight != nullptr);
+  assert(n <= kBloomBatchGroupSize);
+  if (forward) {
+    TIND_OBS_COUNTER_ADD("search/queries", n);
+  } else {
+    TIND_OBS_COUNTER_ADD("reverse/queries", n);
+  }
+  Group g;
+  g.queries.assign(queries, queries + n);
+  g.params = params;
+  g.forward = forward;
+  if (cancels != nullptr) g.cancels.assign(cancels, cancels + n);
+  g.candidates.resize(n);
+  g.required.resize(n);
+  g.abandoned.assign(n, 0);
+  g.stats.resize(n);
+  g.results.resize(n);
+  return g;
+}
+
+void TindIndex::StepGroup(Group* g) const {
+  if (g->next == SearchStage::kDone) return;
+  const size_t n = g->size();
+  // Stage boundary: observe cancellation before any work is spent.
+  std::vector<char> ran(n, 0);
+  size_t active = 0;
+  for (size_t b = 0; b < n; ++b) {
+    if (g->PollCancel(b)) continue;
+    ran[b] = 1;
+    ++active;
+  }
+  if (active == 0) {
+    g->next = SearchStage::kDone;
+    return;
+  }
+  Stopwatch timer;
+  double QueryStats::*stage_ms = nullptr;
+  switch (g->next) {
+    case SearchStage::kProbe:
+      ProbeStage(g);
+      stage_ms = &QueryStats::probe_ms;
+      g->next = SearchStage::kSlices;
+      break;
+    case SearchStage::kSlices:
+      SliceStage(g);
+      stage_ms = &QueryStats::slices_ms;
+      g->next = SearchStage::kRecheck;
+      break;
+    case SearchStage::kRecheck:
+      RecheckStage(g);
+      stage_ms = &QueryStats::recheck_ms;
+      g->next = SearchStage::kValidate;
+      break;
+    case SearchStage::kValidate:
+      ValidateStage(g);
+      stage_ms = &QueryStats::validate_ms;
+      g->next = SearchStage::kDone;
+      break;
+    case SearchStage::kDone:
+      return;
+  }
+  // Per-query wall time is not separable inside a shared scan: each member
+  // that ran the stage is charged an equal share of it.
+  const double share = timer.ElapsedMillis() / static_cast<double>(active);
+  for (size_t b = 0; b < n; ++b) {
+    if (!ran[b]) continue;
+    g->stats[b].*stage_ms = share;
+    g->stats[b].elapsed_ms += share;
+  }
+  if (std::all_of(g->abandoned.begin(), g->abandoned.end(),
+                  [](char a) { return a != 0; })) {
+    g->next = SearchStage::kDone;
+  }
+}
+
+bool TindIndex::ReversePrefilterUsable(const TindParams& params) const {
+  return has_reverse_ &&
+         params.epsilon <= options_.epsilon + kViolationTolerance;
+}
+
+void TindIndex::ProbeStage(Group* g) const {
+  const TindParams& params = g->params;
+  const bool reverse_usable = ReversePrefilterUsable(params);
+  std::vector<BloomFilter> filters;
+  filters.reserve(g->size());  // Probes hold pointers into this.
+  std::vector<BloomProbe> probes;
+  for (size_t b = 0; b < g->size(); ++b) {
+    if (g->abandoned[b]) continue;
+    const AttributeHistory& query = *g->queries[b];
+    BitVector& cand = g->candidates[b];
+    cand = BitVector(dataset_->size(), /*fill=*/true);
+    // Exclude the query itself when it is an indexed attribute: reflexive
+    // tINDs hold trivially.
+    if (query.id() < dataset_->size() &&
+        &dataset_->attribute(query.id()) == &query) {
+      cand.Clear(query.id());
+    }
+    bool use_prefilter = reverse_usable;
+    if (g->forward) {
+      // Required values against M_T (sound for every ε, w, δ).
+      g->required[b] =
+          ComputeRequiredValues(query, *params.weight, params.epsilon);
+      use_prefilter = !g->required[b].empty();
+      if (use_prefilter) {
+        filters.push_back(full_matrix_.MakeQueryFilter(g->required[b]));
+      }
+    } else if (use_prefilter) {
+      filters.push_back(reverse_matrix_.MakeQueryFilter(query.AllValues()));
+    }
+    if (use_prefilter) probes.push_back(BloomProbe{&filters.back(), &cand});
+    g->stats[b].used_prefilter = use_prefilter;
+  }
+  if (g->forward) {
+    TIND_OBS_SCOPED_TIMER("m_t_probe");
+    full_matrix_.QuerySupersetsBatch(probes.data(), probes.size());
+  } else {
+    TIND_OBS_SCOPED_TIMER("m_r_probe");
+    reverse_matrix_.QuerySubsetsBatch(probes.data(), probes.size());
+  }
+  for (size_t b = 0; b < g->size(); ++b) {
+    if (g->abandoned[b]) continue;
+    g->stats[b].initial_candidates = g->candidates[b].Count();
+    if (g->forward) {
+      TIND_OBS_COUNTER_ADD("search/candidates_after_m_t",
+                           g->stats[b].initial_candidates);
+    } else {
+      TIND_OBS_COUNTER_ADD("reverse/candidates_after_m_r",
+                           g->stats[b].initial_candidates);
+    }
+  }
+}
+
+void TindIndex::SliceStage(Group* g) const {
+  // Time slices are only sound if the query's δ does not exceed the build δ
+  // (Section 4.4); the plan may additionally skip them as unprofitable.
+  const bool slices_usable = g->params.delta <= options_.delta;
+  const bool run = slices_usable && !g->plan.skip_slices;
+  {
+    TIND_OBS_SCOPED_TIMER("slice_prune");
+    if (run && g->forward) PruneForwardSlices(g);
+    if (run && !g->forward) PruneReverseSlices(g);
+  }
+  for (size_t b = 0; b < g->size(); ++b) {
+    if (g->abandoned[b]) continue;
+    QueryStats& stats = g->stats[b];
+    stats.used_slices = run;
+    stats.after_slices = g->candidates[b].Count();
+    stats.plan_skipped_slices = slices_usable && g->plan.skip_slices;
+    if (g->forward) {
+      TIND_OBS_COUNTER_ADD("search/candidates_after_slices",
+                           stats.after_slices);
+    }
+  }
+}
+
+void TindIndex::RecheckStage(Group* g) const {
+  TIND_OBS_SCOPED_TIMER("exact_recheck");
+  // Reverse rechecks evaluate R_{ε,w}(A) at the build (ε, w) — exactly the
+  // required_values_ table, populated whenever has_reverse_ is — so they
+  // are only usable together with the M_R prefilter.
+  const bool reverse_usable = ReversePrefilterUsable(g->params);
+  assert(!reverse_usable || required_values_.size() == dataset_->size());
+  for (size_t b = 0; b < g->size(); ++b) {
+    if (g->abandoned[b]) continue;
+    BitVector& cand = g->candidates[b];
+    // Exact required-values recheck to shed Bloom false positives before
+    // the expensive temporal validation (Algorithm 1, line 16).
+    if (!g->plan.skip_recheck && g->forward && !g->required[b].empty()) {
+      const ValueSet& required = g->required[b];
+      cand.ForEachSet([&](size_t c) {
+        if (!required.IsSubsetOf(
+                dataset_->attribute(static_cast<AttributeId>(c)).AllValues())) {
+          cand.Clear(c);
+        }
+      });
+    }
+    if (!g->plan.skip_recheck && !g->forward && reverse_usable) {
+      const ValueSet& query_all = g->queries[b]->AllValues();
+      cand.ForEachSet([&](size_t c) {
+        if (!required_values_[c].IsSubsetOf(query_all)) cand.Clear(c);
+      });
+    }
+    g->stats[b].after_exact_check = cand.Count();
+    g->stats[b].plan_skipped_recheck = g->plan.skip_recheck;
+  }
+}
+
+void TindIndex::ValidateStage(Group* g) const {
+  for (size_t b = 0; b < g->size(); ++b) {
+    if (g->abandoned[b]) continue;
+    const CancellationToken* cancel =
+        g->cancels.empty() ? nullptr : g->cancels[b];
+    g->results[b] = ValidateCandidates(*g->queries[b], g->params,
+                                       g->candidates[b], g->forward, g->pool,
+                                       cancel, &g->stats[b].validations);
+    g->stats[b].num_results = g->results[b].size();
+    // A partially validated answer is neither exact nor a sound superset:
+    // a token that fired during validation abandons the member.
+    g->PollCancel(b);
+  }
+}
+
+std::vector<AttributeId> TindIndex::ValidateCandidates(
+    const AttributeHistory& query, const TindParams& params,
+    const BitVector& candidates, bool forward, ThreadPool* pool,
+    const CancellationToken* cancel, size_t* validations) const {
+  TIND_OBS_SCOPED_TIMER("validate");
+  const std::vector<size_t> ids = candidates.ToIndexVector();
+  std::vector<char> valid(ids.size(), 0);
+  std::atomic<size_t> validations_run{0};
+  const auto validate_one = [&](size_t i) {
+    // Validation is the most expensive stage, so cancellation is polled per
+    // candidate: once the token fires, at most the in-flight validations
+    // (one per worker) complete before the query is abandoned.
+    if (cancel != nullptr && cancel->cancelled()) return;
+    validations_run.fetch_add(1, std::memory_order_relaxed);
+    const AttributeHistory& a =
+        dataset_->attribute(static_cast<AttributeId>(ids[i]));
+    const bool ok = forward
+                        ? ValidateTind(query, a, params, dataset_->domain())
+                        : ValidateTind(a, query, params, dataset_->domain());
+    valid[i] = ok ? 1 : 0;
+  };
+  if (pool != nullptr && ids.size() >= 8) {
+    pool->ParallelFor(0, ids.size(), validate_one);
+  } else {
+    for (size_t i = 0; i < ids.size(); ++i) validate_one(i);
+  }
+  *validations = validations_run.load();
+  TIND_OBS_COUNTER_ADD("search/validations", *validations);
+  std::vector<AttributeId> results;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (valid[i]) results.push_back(static_cast<AttributeId>(ids[i]));
+  }
+  return results;
+}
+
+void TindIndex::PruneForwardSlices(Group* g) const {
+  const TindParams& params = g->params;
+  // Violation bookkeeping only for surviving candidates; M_T pruning keeps
+  // these maps small (Section 4.2.2). This is the structural difference
+  // from k-MANY, which must track all |D| candidates.
+  std::vector<std::unordered_map<AttributeId, double>> violations(g->size());
   std::vector<BatchSliceTask> tasks;
   std::vector<BloomProbe> probes;
-  size_t total_tasks = 0;
+  size_t slice_probes = 0;
   size_t violation_updates = 0;
   size_t pruned = 0;
   for (size_t j = 0; j < slice_matrices_.size(); ++j) {
     const Interval& interval = slice_intervals_[j];
     const BloomMatrix& matrix = slice_matrices_[j];
-    // Plan: every valid (query, version) pair of this slice becomes one
-    // probe. Skipping dead queries here matches the sequential loop, which
-    // only checks for emptiness at the top of each slice.
+    // Plan: every valid (member, version) pair of this slice becomes one
+    // probe. A member abandoned here plans no probes for this or any later
+    // slice, so at most one slice's worth of its probes ever ran past
+    // Cancel().
     tasks.clear();
-    for (size_t b = 0; b < n; ++b) {
-      if (candidates[b].None()) continue;
-      // Cancellation boundary: a query abandoned here plans no probes for
-      // this or any later slice, so at most one slice's worth of its probes
-      // (the ones already submitted last iteration) ever ran past Cancel().
-      if (cancels != nullptr && cancels[b] != nullptr &&
-          cancels[b]->cancelled()) {
-        candidates[b].ClearAll();
-        continue;
-      }
-      const AttributeHistory& query = *queries[b];
+    for (size_t b = 0; b < g->size(); ++b) {
+      if (g->PollCancel(b) || g->candidates[b].None()) continue;
+      const AttributeHistory& query = *g->queries[b];
       const auto [first, last] = query.VersionRangeInInterval(interval);
       for (int64_t v = first; v <= last; ++v) {
         const ValueSet& version = query.versions()[static_cast<size_t>(v)];
         if (version.empty()) continue;
+        // The violated sub-interval is the version's validity clipped to I
+        // (Algorithm 1, lines 6-9 walk version boundaries within I).
         const Interval validity = query.ValidityInterval(v);
         const Interval clipped{std::max(validity.begin, interval.begin),
                                std::min(validity.end, interval.end)};
@@ -653,81 +499,75 @@ void TindIndex::BatchPruneWithSlices(const AttributeHistory* const* queries,
         task.b = b;
         task.weight = params.weight->Sum(clipped);
         task.filter = matrix.MakeQueryFilter(version);
-        task.cand = candidates[b];
+        task.cand = g->candidates[b];
         tasks.push_back(std::move(task));
       }
     }
     if (tasks.empty()) continue;
-    total_tasks += tasks.size();
+    slice_probes += tasks.size();
     probes.clear();
     for (BatchSliceTask& t : tasks) {
       probes.push_back(BloomProbe{&t.filter, &t.cand});
     }
     matrix.QuerySupersetsBatch(probes.data(), probes.size());
-    // Replay the violation bookkeeping in planning order — per query that
-    // is exactly the sequential version order, and queries do not interact.
+    // Replay the violation bookkeeping in planning order — per member that
+    // is exactly the version order, and members do not interact.
     for (const BatchSliceTask& t : tasks) {
-      BitVector partial = candidates[t.b];
+      // PV = C ∧ ¬C_ij: candidates that failed this version's containment.
+      BitVector partial = g->candidates[t.b];
       partial.AndNot(t.cand);
-      if (partial.None()) continue;
       partial.ForEachSet([&](size_t c) {
         double& vio = violations[t.b][static_cast<AttributeId>(c)];
         vio += t.weight;
         ++violation_updates;
         if (vio > params.epsilon + kViolationTolerance) {
-          candidates[t.b].Clear(c);
+          g->candidates[t.b].Clear(c);  // Pruned (Algorithm 1, line 14).
           ++pruned;
         }
       });
     }
   }
-  TIND_OBS_COUNTER_ADD("index/batch_slice_tasks", total_tasks);
-  TIND_OBS_COUNTER_ADD("index/batch_violation_updates", violation_updates);
-  TIND_OBS_COUNTER_ADD("index/batch_slice_pruned", pruned);
+  TIND_OBS_COUNTER_ADD("search/slice_probes", slice_probes);
+  TIND_OBS_COUNTER_ADD("search/partial_violation_updates", violation_updates);
+  TIND_OBS_COUNTER_ADD("search/slice_pruned_candidates", pruned);
 }
 
-void TindIndex::BatchPruneReverseWithSlices(
-    const AttributeHistory* const* queries, size_t n, const TindParams& params,
-    const CancellationToken* const* cancels, BitVector* candidates) const {
-  std::vector<std::unordered_map<AttributeId, double>> violations(n);
+void TindIndex::PruneReverseSlices(Group* g) const {
+  const TindParams& params = g->params;
+  std::vector<std::unordered_map<AttributeId, double>> violations(g->size());
   std::vector<BatchSliceTask> tasks;
   std::vector<BloomProbe> probes;
-  size_t total_tasks = 0;
+  size_t slice_probes = 0;
   size_t violation_updates = 0;
   size_t pruned = 0;
-  size_t min_weights_computed = 0;
-  size_t min_weights_reused = 0;
-  // Scratch for the per-slice minimum-weight cache (Figure 6). The minimum
-  // version-subinterval weight of a candidate depends only on the candidate
-  // and the slice interval — not on the query — so one computation serves
-  // every query of the group.
-  std::vector<double> min_weight(dataset_->size(), 0);
-  std::vector<char> min_weight_ready(dataset_->size(), 0);
+  size_t min_weights_cached = 0;
+  // Per-call memo of minimum weights for weights other than the build
+  // weight, whose build-time table does not apply. Allocated on first use,
+  // so queries under the build weight never pay for it.
+  std::vector<double> memo;
+  std::vector<char> memo_ready;
   const size_t slices_to_use =
       std::min(options_.reverse_slices, slice_matrices_.size());
   for (size_t j = 0; j < slices_to_use; ++j) {
     const Interval& interval = slice_intervals_[j];
     const BloomMatrix& matrix = slice_matrices_[j];
+    // Columns hold A[I^δ]; the query side is expanded by a further δ so a
+    // Bloom-level non-containment proves a genuine δ-violation of some
+    // version of A within I^δ (Section 4.5).
     const Interval query_window =
         dataset_->domain().Clamp(interval.Expanded(2 * options_.delta));
     tasks.clear();
-    for (size_t b = 0; b < n; ++b) {
-      if (candidates[b].None()) continue;
-      // Same cancellation boundary as the forward planner.
-      if (cancels != nullptr && cancels[b] != nullptr &&
-          cancels[b]->cancelled()) {
-        candidates[b].ClearAll();
-        continue;
-      }
-      const ValueSet query_values = queries[b]->UnionInInterval(query_window);
+    for (size_t b = 0; b < g->size(); ++b) {
+      if (g->PollCancel(b) || g->candidates[b].None()) continue;
       BatchSliceTask task;
       task.b = b;
-      task.filter = matrix.MakeQueryFilter(query_values);
-      task.cand = candidates[b];
+      task.filter =
+          matrix.MakeQueryFilter(g->queries[b]->UnionInInterval(query_window));
+      task.cand = g->candidates[b];
       tasks.push_back(std::move(task));
     }
     if (tasks.empty()) continue;
-    total_tasks += tasks.size();
+    slice_probes += tasks.size();
     probes.clear();
     for (BatchSliceTask& t : tasks) {
       probes.push_back(BloomProbe{&t.filter, &t.cand});
@@ -735,329 +575,106 @@ void TindIndex::BatchPruneReverseWithSlices(
     matrix.QuerySubsetsBatch(probes.data(), probes.size());
     const Interval expanded =
         dataset_->domain().Clamp(interval.Expanded(options_.delta));
-    std::fill(min_weight_ready.begin(), min_weight_ready.end(), 0);
-    // Prefer the build-time table (valid only for the build weight object);
-    // the per-call scratch cache remains the fallback for other weights.
-    const std::vector<double>* build_cache =
+    // The build-time table is valid only for the build weight object; it
+    // was filled by MinVersionWeight too, so both paths are bit-identical.
+    const std::vector<double>* table =
         (params.weight == options_.weight && j < reverse_min_weights_.size())
             ? &reverse_min_weights_[j]
             : nullptr;
-    const auto min_weight_for = [&](size_t c) {
-      if (build_cache != nullptr) {
-        ++min_weights_reused;
-        return (*build_cache)[c];
+    if (table == nullptr) {
+      memo.resize(dataset_->size());
+      memo_ready.assign(dataset_->size(), 0);
+    }
+    const auto min_weight = [&](size_t c) {
+      if (table != nullptr) {
+        ++min_weights_cached;
+        return (*table)[c];
       }
-      if (min_weight_ready[c]) {
-        ++min_weights_reused;
-        return min_weight[c];
+      if (!memo_ready[c]) {
+        memo_ready[c] = 1;
+        memo[c] = MinVersionWeight(
+            dataset_->attribute(static_cast<AttributeId>(c)), expanded,
+            *params.weight);
       }
-      min_weight_ready[c] = 1;
-      ++min_weights_computed;
-      const AttributeHistory& a =
-          dataset_->attribute(static_cast<AttributeId>(c));
-      const auto [first, last] = a.VersionRangeInInterval(expanded);
-      double min_w = -1;
-      for (int64_t v = first; v <= last; ++v) {
-        const Interval validity = a.ValidityInterval(v);
-        const Interval clipped{std::max(validity.begin, expanded.begin),
-                               std::min(validity.end, expanded.end)};
-        if (clipped.begin > clipped.end) continue;
-        const double w = params.weight->Sum(clipped);
-        if (min_w < 0 || w < min_w) min_w = w;
-      }
-      min_weight[c] = min_w;
-      return min_w;
+      return memo[c];
     };
     for (const BatchSliceTask& t : tasks) {
-      BitVector partial = candidates[t.b];
+      BitVector partial = g->candidates[t.b];
       partial.AndNot(t.cand);
-      if (partial.None()) continue;
       partial.ForEachSet([&](size_t c) {
-        // min_weight <= 0 covers both "no version in the window" (-1) and
-        // zero-weight sub-intervals; neither can prove a violation.
-        const double w = min_weight_for(c);
+        // The Bloom filters cannot reveal *which* version of A violated, so
+        // only the minimum version-subinterval weight may be added
+        // (Figure 6). A weight <= 0 covers both "no version in the window"
+        // (-1) and zero-weight sub-intervals; neither proves a violation.
+        const double w = min_weight(c);
         if (w <= 0) return;
         double& vio = violations[t.b][static_cast<AttributeId>(c)];
         vio += w;
         ++violation_updates;
         if (vio > params.epsilon + kViolationTolerance) {
-          candidates[t.b].Clear(c);
+          g->candidates[t.b].Clear(c);
           ++pruned;
         }
       });
     }
   }
-  TIND_OBS_COUNTER_ADD("index/batch_reverse_slice_tasks", total_tasks);
-  TIND_OBS_COUNTER_ADD("index/batch_violation_updates", violation_updates);
-  TIND_OBS_COUNTER_ADD("index/batch_slice_pruned", pruned);
-  TIND_OBS_COUNTER_ADD("index/batch_min_weights_computed", min_weights_computed);
-  TIND_OBS_COUNTER_ADD("index/batch_min_weights_reused", min_weights_reused);
+  TIND_OBS_COUNTER_ADD("reverse/slice_probes", slice_probes);
+  TIND_OBS_COUNTER_ADD("reverse/partial_violation_updates", violation_updates);
+  TIND_OBS_COUNTER_ADD("reverse/slice_pruned_candidates", pruned);
+  TIND_OBS_COUNTER_ADD("reverse/min_weights_cached", min_weights_cached);
 }
 
-namespace {
-
-/// Materializes a Bloom-funnel candidate set as the degraded superset answer.
-std::vector<AttributeId> SupersetResults(const BitVector& candidates) {
-  const std::vector<size_t> ids = candidates.ToIndexVector();
-  std::vector<AttributeId> results;
-  results.reserve(ids.size());
-  for (size_t id : ids) results.push_back(static_cast<AttributeId>(id));
-  return results;
+std::vector<AttributeId> TindIndex::RunSingle(const AttributeHistory& query,
+                                              const TindParams& params,
+                                              const QueryPlan& plan,
+                                              QueryStats* stats,
+                                              ThreadPool* pool,
+                                              bool forward) const {
+  const AttributeHistory* queries[] = {&query};
+  Group g = MakeGroup(queries, 1, params, forward, /*cancels=*/nullptr);
+  g.plan = plan;
+  g.pool = pool;
+  while (g.next != SearchStage::kDone) StepGroup(&g);
+  if (stats != nullptr) *stats = g.stats[0];
+  return std::move(g.results[0]);
 }
 
-}  // namespace
-
-void TindIndex::BatchForwardGroup(const AttributeHistory* const* queries,
-                                  size_t n, const TindParams& params,
-                                  const CancellationToken* const* cancels,
-                                  bool superset_only, QueryStats* stats,
-                                  std::vector<AttributeId>* results) const {
-  Stopwatch timer;
-  TIND_OBS_SCOPED_TIMER("batch_search_group");
-  TIND_OBS_OBSERVE_BOUNDS("index/batch_group_size", n, GroupSizeBounds());
-
-  // Marks query `b` abandoned once its token is observed cancelled; sticky,
-  // so stats flags are set exactly once. Cancellation only ever *clears*
-  // candidate bits, so the other queries of the group are unaffected.
-  std::vector<char> abandoned(n, 0);
-  const auto poll_cancel = [&](size_t b, BitVector* cand) -> bool {
-    if (abandoned[b]) return true;
-    if (cancels == nullptr || cancels[b] == nullptr ||
-        !cancels[b]->cancelled()) {
-      return false;
-    }
-    abandoned[b] = 1;
-    if (cand != nullptr) cand->ClearAll();
-    if (stats != nullptr) stats[b].cancelled = true;
-    TIND_OBS_COUNTER_ADD("index/batch_cancelled_queries", 1);
-    return true;
-  };
-
-  std::vector<BitVector> candidates;
-  candidates.reserve(n);
-  for (size_t b = 0; b < n; ++b) {
-    candidates.emplace_back(dataset_->size(), /*fill=*/true);
-    const AttributeHistory& query = *queries[b];
-    if (query.id() < dataset_->size() &&
-        &dataset_->attribute(query.id()) == &query) {
-      candidates[b].Clear(query.id());
-    }
-  }
-
-  // Stage 1: required values against M_T, one group probe for all queries.
-  std::vector<ValueSet> required(n);
-  std::vector<BloomFilter> filters;
-  filters.reserve(n);  // Probes hold pointers into this; no reallocation.
-  std::vector<BloomProbe> probes;
-  for (size_t b = 0; b < n; ++b) {
-    if (poll_cancel(b, &candidates[b])) continue;
-    required[b] =
-        ComputeRequiredValues(*queries[b], *params.weight, params.epsilon);
-    if (required[b].empty()) continue;
-    filters.push_back(full_matrix_.MakeQueryFilter(required[b]));
-    probes.push_back(BloomProbe{&filters.back(), &candidates[b]});
-  }
-  {
-    TIND_OBS_SCOPED_TIMER("m_t_probe");
-    full_matrix_.QuerySupersetsBatch(probes.data(), probes.size());
-  }
-  if (stats != nullptr) {
-    for (size_t b = 0; b < n; ++b) {
-      stats[b].used_prefilter = !required[b].empty();
-      stats[b].initial_candidates = candidates[b].Count();
-    }
-  }
-
-  // Stage 2: shared slice pruning (observes `cancels` per planning step).
-  const bool slices_usable = params.delta <= options_.delta;
-  {
-    TIND_OBS_SCOPED_TIMER("slice_prune");
-    if (slices_usable) {
-      BatchPruneWithSlices(queries, n, params, cancels, candidates.data());
-    }
-  }
-  for (size_t b = 0; b < n; ++b) poll_cancel(b, &candidates[b]);
-  if (stats != nullptr) {
-    for (size_t b = 0; b < n; ++b) {
-      stats[b].used_slices = slices_usable;
-      stats[b].after_slices = candidates[b].Count();
-    }
-  }
-
-  // Stages 3+4 are per-query, identical to Search(). In superset mode both
-  // are skipped: the stage-1/2 survivors are the (sound) degraded answer.
-  for (size_t b = 0; b < n; ++b) {
-    if (poll_cancel(b, &candidates[b])) {
-      results[b].clear();
-      if (stats != nullptr) {
-        stats[b].after_exact_check = 0;
-        stats[b].num_results = 0;
-      }
-      continue;
-    }
-    if (superset_only) {
-      results[b] = SupersetResults(candidates[b]);
-      if (stats != nullptr) {
-        stats[b].degraded = true;
-        stats[b].after_exact_check = candidates[b].Count();
-        stats[b].num_results = results[b].size();
-      }
-      TIND_OBS_COUNTER_ADD("index/batch_degraded_queries", 1);
-      continue;
-    }
-    if (!required[b].empty()) {
-      candidates[b].ForEachSet([&](size_t c) {
-        if (!required[b].IsSubsetOf(
-                dataset_->attribute(static_cast<AttributeId>(c)).AllValues())) {
-          candidates[b].Clear(c);
-        }
-      });
-    }
-    if (stats != nullptr) stats[b].after_exact_check = candidates[b].Count();
-    results[b] = ValidateCandidates(
-        *queries[b], params, candidates[b],
-        /*forward=*/true, stats != nullptr ? &stats[b] : nullptr,
-        /*pool=*/nullptr, cancels != nullptr ? cancels[b] : nullptr);
-  }
-  if (stats != nullptr && n > 0) {
-    // Per-query wall time is not separable inside a shared scan; report
-    // each query's equal share of the group.
-    const double per_query_ms = timer.ElapsedMillis() / static_cast<double>(n);
-    for (size_t b = 0; b < n; ++b) stats[b].elapsed_ms = per_query_ms;
-  }
+std::vector<AttributeId> TindIndex::Search(const AttributeHistory& query,
+                                           const TindParams& params,
+                                           QueryStats* stats,
+                                           ThreadPool* pool) const {
+  return Search(query, params, QueryPlan{}, stats, pool);
 }
 
-void TindIndex::BatchReverseGroup(const AttributeHistory* const* queries,
-                                  size_t n, const TindParams& params,
-                                  const CancellationToken* const* cancels,
-                                  bool superset_only, QueryStats* stats,
-                                  std::vector<AttributeId>* results) const {
-  Stopwatch timer;
-  TIND_OBS_SCOPED_TIMER("batch_reverse_group");
-  TIND_OBS_OBSERVE_BOUNDS("index/batch_group_size", n, GroupSizeBounds());
+std::vector<AttributeId> TindIndex::Search(const AttributeHistory& query,
+                                           const TindParams& params,
+                                           const QueryPlan& plan,
+                                           QueryStats* stats,
+                                           ThreadPool* pool) const {
+  TIND_OBS_SCOPED_TIMER("search");
+  return RunSingle(query, params, plan, stats, pool, /*forward=*/true);
+}
 
-  std::vector<char> abandoned(n, 0);
-  const auto poll_cancel = [&](size_t b, BitVector* cand) -> bool {
-    if (abandoned[b]) return true;
-    if (cancels == nullptr || cancels[b] == nullptr ||
-        !cancels[b]->cancelled()) {
-      return false;
-    }
-    abandoned[b] = 1;
-    if (cand != nullptr) cand->ClearAll();
-    if (stats != nullptr) stats[b].cancelled = true;
-    TIND_OBS_COUNTER_ADD("index/batch_cancelled_queries", 1);
-    return true;
-  };
+std::vector<AttributeId> TindIndex::ReverseSearch(const AttributeHistory& query,
+                                                  const TindParams& params,
+                                                  QueryStats* stats,
+                                                  ThreadPool* pool) const {
+  return ReverseSearch(query, params, QueryPlan{}, stats, pool);
+}
 
-  std::vector<BitVector> candidates;
-  candidates.reserve(n);
-  for (size_t b = 0; b < n; ++b) {
-    candidates.emplace_back(dataset_->size(), /*fill=*/true);
-    const AttributeHistory& query = *queries[b];
-    if (query.id() < dataset_->size() &&
-        &dataset_->attribute(query.id()) == &query) {
-      candidates[b].Clear(query.id());
-    }
-  }
-
-  // Stage 1: M_R subset probes, one group scan. Usability is a property of
-  // (params, build options), so it is uniform across the group.
-  const bool prefilter_usable =
-      has_reverse_ && params.epsilon <= options_.epsilon + kViolationTolerance;
-  if (prefilter_usable) {
-    TIND_OBS_SCOPED_TIMER("m_r_probe");
-    std::vector<BloomFilter> filters;
-    filters.reserve(n);
-    std::vector<BloomProbe> probes;
-    probes.reserve(n);
-    for (size_t b = 0; b < n; ++b) {
-      if (poll_cancel(b, &candidates[b])) continue;
-      filters.push_back(reverse_matrix_.MakeQueryFilter(queries[b]->AllValues()));
-      probes.push_back(BloomProbe{&filters.back(), &candidates[b]});
-    }
-    reverse_matrix_.QuerySubsetsBatch(probes.data(), probes.size());
-  }
-  if (stats != nullptr) {
-    for (size_t b = 0; b < n; ++b) {
-      stats[b].used_prefilter = prefilter_usable;
-      stats[b].initial_candidates = candidates[b].Count();
-    }
-  }
-
-  // Stage 2: shared reverse slice pruning (observes `cancels` per step).
-  const bool slices_usable = params.delta <= options_.delta;
-  {
-    TIND_OBS_SCOPED_TIMER("slice_prune");
-    if (slices_usable) {
-      BatchPruneReverseWithSlices(queries, n, params, cancels,
-                                  candidates.data());
-    }
-  }
-  for (size_t b = 0; b < n; ++b) poll_cancel(b, &candidates[b]);
-  if (stats != nullptr) {
-    for (size_t b = 0; b < n; ++b) {
-      stats[b].used_slices = slices_usable;
-      stats[b].after_slices = candidates[b].Count();
-    }
-  }
-
-  // Stage 3: exact recheck. R_{ε,w}(A) depends only on the candidate and
-  // the build parameters, so compute it once per surviving candidate and
-  // test it against every query of the group. Skipped entirely in superset
-  // mode — stage-1/2 survivors are the degraded answer.
-  if (prefilter_usable && !superset_only) {
-    TIND_OBS_SCOPED_TIMER("exact_recheck");
-    // R_{ε,w}(A) at the build parameters is the required_values_ table built
-    // (or snapshot-restored) with the index — no per-call recomputation.
-    assert(required_values_.size() == dataset_->size());
-    size_t required_reused = 0;
-    for (size_t b = 0; b < n; ++b) {
-      if (abandoned[b]) continue;
-      const ValueSet& query_all = queries[b]->AllValues();
-      candidates[b].ForEachSet([&](size_t c) {
-        ++required_reused;
-        if (!required_values_[c].IsSubsetOf(query_all)) candidates[b].Clear(c);
-      });
-    }
-    TIND_OBS_COUNTER_ADD("index/batch_required_values_reused", required_reused);
-  }
-  for (size_t b = 0; b < n; ++b) {
-    if (poll_cancel(b, &candidates[b])) {
-      results[b].clear();
-      if (stats != nullptr) {
-        stats[b].after_exact_check = 0;
-        stats[b].num_results = 0;
-      }
-      continue;
-    }
-    if (superset_only) {
-      results[b] = SupersetResults(candidates[b]);
-      if (stats != nullptr) {
-        stats[b].degraded = true;
-        stats[b].after_exact_check = candidates[b].Count();
-        stats[b].num_results = results[b].size();
-      }
-      TIND_OBS_COUNTER_ADD("index/batch_degraded_queries", 1);
-      continue;
-    }
-    if (stats != nullptr) stats[b].after_exact_check = candidates[b].Count();
-    results[b] = ValidateCandidates(
-        *queries[b], params, candidates[b],
-        /*forward=*/false, stats != nullptr ? &stats[b] : nullptr,
-        /*pool=*/nullptr, cancels != nullptr ? cancels[b] : nullptr);
-  }
-  if (stats != nullptr && n > 0) {
-    const double per_query_ms = timer.ElapsedMillis() / static_cast<double>(n);
-    for (size_t b = 0; b < n; ++b) stats[b].elapsed_ms = per_query_ms;
-  }
+std::vector<AttributeId> TindIndex::ReverseSearch(const AttributeHistory& query,
+                                                  const TindParams& params,
+                                                  const QueryPlan& plan,
+                                                  QueryStats* stats,
+                                                  ThreadPool* pool) const {
+  TIND_OBS_SCOPED_TIMER("reverse_search");
+  return RunSingle(query, params, plan, stats, pool, /*forward=*/false);
 }
 
 std::vector<std::vector<AttributeId>> TindIndex::BatchExecute(
     const std::vector<const AttributeHistory*>& queries,
     const TindParams& params, const BatchExecOptions& exec,
     std::vector<QueryStats>* stats, ThreadPool* pool, bool forward) const {
-  assert(params.weight != nullptr);
   const size_t n = queries.size();
   std::vector<std::vector<AttributeId>> results(n);
   if (stats != nullptr) stats->assign(n, QueryStats{});
@@ -1067,24 +684,35 @@ std::vector<std::vector<AttributeId>> TindIndex::BatchExecute(
       PlanBatchShards(n, workers, kBloomBatchGroupSize);
   TIND_OBS_COUNTER_ADD("index/batch_calls", 1);
   TIND_OBS_COUNTER_ADD("index/batch_shards", shards.size());
+  // Superset mode stops after the slice stage: the survivors of the two
+  // Bloom stages are the sound degraded answer.
+  const SearchStage stop =
+      exec.superset_only ? SearchStage::kRecheck : SearchStage::kDone;
   const auto run_shard = [&](size_t s) {
     const IndexRange& range = shards[s];
     // A shard never exceeds kBloomBatchGroupSize, but tolerate larger ones
     // by re-chunking rather than assuming the planner's cap.
     for (size_t lo = range.begin; lo < range.end;
          lo += kBloomBatchGroupSize) {
-      const size_t g = std::min(kBloomBatchGroupSize, range.end - lo);
-      QueryStats* group_stats = stats != nullptr ? stats->data() + lo : nullptr;
-      const CancellationToken* const* group_cancels =
+      const size_t size = std::min(kBloomBatchGroupSize, range.end - lo);
+      TIND_OBS_SCOPED_TIMER(forward ? "batch_search_group"
+                                    : "batch_reverse_group");
+      TIND_OBS_OBSERVE_BOUNDS("index/batch_group_size", size,
+                              GroupSizeBounds());
+      const CancellationToken* const* cancels =
           exec.cancels != nullptr ? exec.cancels + lo : nullptr;
-      if (forward) {
-        BatchForwardGroup(queries.data() + lo, g, params, group_cancels,
-                          exec.superset_only, group_stats,
-                          results.data() + lo);
-      } else {
-        BatchReverseGroup(queries.data() + lo, g, params, group_cancels,
-                          exec.superset_only, group_stats,
-                          results.data() + lo);
+      Group g = MakeGroup(queries.data() + lo, size, params, forward, cancels);
+      while (g.next < stop) StepGroup(&g);
+      for (size_t b = 0; b < size; ++b) {
+        if (exec.superset_only && !g.PollCancel(b)) {
+          g.results[b] = ToAttributeIds(g.candidates[b]);
+          g.stats[b].degraded = true;
+          g.stats[b].after_exact_check = g.stats[b].after_slices;
+          g.stats[b].num_results = g.results[b].size();
+          TIND_OBS_COUNTER_ADD("index/batch_degraded_queries", 1);
+        }
+        results[lo + b] = std::move(g.results[b]);
+        if (stats != nullptr) (*stats)[lo + b] = g.stats[b];
       }
     }
   };
@@ -1108,7 +736,6 @@ std::vector<std::vector<AttributeId>> TindIndex::BatchSearch(
     const TindParams& params, const BatchExecOptions& exec,
     std::vector<QueryStats>* stats, ThreadPool* pool) const {
   TIND_OBS_SCOPED_TIMER("batch_search");
-  TIND_OBS_COUNTER_ADD("index/batch_queries", queries.size());
   return BatchExecute(queries, params, exec, stats, pool, /*forward=*/true);
 }
 
@@ -1124,7 +751,6 @@ std::vector<std::vector<AttributeId>> TindIndex::BatchReverseSearch(
     const TindParams& params, const BatchExecOptions& exec,
     std::vector<QueryStats>* stats, ThreadPool* pool) const {
   TIND_OBS_SCOPED_TIMER("batch_reverse_search");
-  TIND_OBS_COUNTER_ADD("index/batch_reverse_queries", queries.size());
   return BatchExecute(queries, params, exec, stats, pool, /*forward=*/false);
 }
 

@@ -163,9 +163,9 @@ class TindIndex {
   /// Search with an explicit stage plan (tind/plan.h). With a default
   /// QueryPlan this is bit-identical to the overload above; with skips the
   /// final result is still exact (skipped stages are sound prunes) but the
-  /// funnel counters reflect the stages actually run. The progressive
-  /// cursor (tind/progressive.h) executes exactly these stages one Step()
-  /// at a time — the progressive differential test pins the equivalence.
+  /// funnel counters reflect the stages actually run. Both overloads run the
+  /// query as a group of one through the batch pipeline; the progressive
+  /// cursor (tind/progressive.h) steps the same group one stage at a time.
   std::vector<AttributeId> Search(const AttributeHistory& query,
                                   const TindParams& params,
                                   const QueryPlan& plan,
@@ -196,8 +196,9 @@ class TindIndex {
   ///
   /// Query pointers must not be null and must outlive the call; duplicate
   /// queries are fine. If `stats` is non-null it is resized to
-  /// queries.size(); elapsed_ms is each query's equal share of its group's
-  /// wall time (per-query timing is not separable inside a shared scan).
+  /// queries.size(); each stage's wall time is split equally among the
+  /// group members that ran it (per-query timing is not separable inside a
+  /// shared scan), and elapsed_ms is the sum of a query's stage shares.
   /// If `pool` is non-null the batch is sharded across its workers
   /// (PlanBatchShards); results are identical either way.
   std::vector<std::vector<AttributeId>> BatchSearch(
@@ -281,114 +282,90 @@ class TindIndex {
 
   TindIndex() = default;
 
-  /// Stage 1 (forward): initialize the candidate universe (all attributes
-  /// minus the query itself), compute R_{ε,w}(Q), and prune via the M_T
-  /// superset probe. Fills stats->{used_prefilter, initial_candidates,
-  /// probe_ms}.
-  void ForwardProbeStage(const AttributeHistory& query,
-                         const TindParams& params, BitVector* candidates,
-                         ValueSet* required, QueryStats* stats) const;
+  /// One group (at most kBloomBatchGroupSize queries, one direction) moving
+  /// through the funnel: probe → slices → recheck → validate. Every search
+  /// runs as a group — Search/ReverseSearch as a group of one, SearchCursor
+  /// as a group of one stepped a stage at a time, BatchSearch as groups of
+  /// up to 64 — so each stage has exactly one implementation.
+  ///
+  /// A member whose token fires is abandoned at the next stage boundary,
+  /// slice-planning step or validation candidate: its results come back
+  /// empty, its funnel counts freeze with `cancelled` set, no later stage
+  /// touches it, and its candidate set stays the sound superset it had
+  /// reached.
+  struct Group {
+    std::vector<const AttributeHistory*> queries;
+    TindParams params;
+    bool forward = true;
+    QueryPlan plan;
+    /// Parallel to `queries` when non-empty; null entries are not
+    /// cancellable.
+    std::vector<const CancellationToken*> cancels;
+    /// Runs stage-4 validations in parallel when non-null.
+    ThreadPool* pool = nullptr;
+    SearchStage next = SearchStage::kProbe;
+    std::vector<BitVector> candidates;
+    std::vector<ValueSet> required;  ///< R_{ε,w}(Q) of forward members.
+    std::vector<char> abandoned;
+    std::vector<QueryStats> stats;
+    std::vector<std::vector<AttributeId>> results;
 
-  /// Stage 2 (forward): time-slice violation pruning, honoring the plan's
-  /// skip_slices and the soundness gate (params.delta <= build δ). Returns
-  /// false iff `deadline` expired mid-stage — the candidate set is then
-  /// partially pruned but still a sound superset.
-  bool ForwardSliceStage(const AttributeHistory& query,
-                         const TindParams& params, const QueryPlan& plan,
-                         BitVector* candidates, QueryStats* stats,
-                         const StageDeadline* deadline = nullptr) const;
+    size_t size() const { return queries.size(); }
+    /// Abandons member `b` if its token has fired; true iff it is abandoned.
+    bool PollCancel(size_t b);
+    /// Abandons member `b` (idempotent).
+    void Abandon(size_t b);
+  };
 
-  /// Stage 3 (forward): exact required-values recheck against each
-  /// candidate's full value set, honoring plan.skip_recheck.
-  void ForwardRecheckStage(const ValueSet& required, const QueryPlan& plan,
-                           BitVector* candidates, QueryStats* stats) const;
+  Group MakeGroup(const AttributeHistory* const* queries, size_t n,
+                  const TindParams& params, bool forward,
+                  const CancellationToken* const* cancels) const;
 
-  /// Stage 1 (reverse): candidate universe + M_R subset probe (usable iff
-  /// params.epsilon <= build ε).
-  void ReverseProbeStage(const AttributeHistory& query,
-                         const TindParams& params, BitVector* candidates,
-                         QueryStats* stats) const;
+  /// Runs the group's next stage and advances `g->next`: to kDone after
+  /// validation, or as soon as every member is abandoned.
+  void StepGroup(Group* g) const;
 
-  /// Stage 2 (reverse): minimum-violation slice pruning; same deadline
-  /// contract as ForwardSliceStage.
-  bool ReverseSliceStage(const AttributeHistory& query,
-                         const TindParams& params, const QueryPlan& plan,
-                         BitVector* candidates, QueryStats* stats,
-                         const StageDeadline* deadline = nullptr) const;
+  /// Runs a group of one to completion (Search / ReverseSearch).
+  std::vector<AttributeId> RunSingle(const AttributeHistory& query,
+                                     const TindParams& params,
+                                     const QueryPlan& plan, QueryStats* stats,
+                                     ThreadPool* pool, bool forward) const;
 
-  /// Stage 3 (reverse): exact R_{ε,w}(A) ⊆ Q[T] recheck from the
-  /// required_values_ cache (usable only when the M_R prefilter is).
-  void ReverseRecheckStage(const AttributeHistory& query,
-                           const TindParams& params, const QueryPlan& plan,
-                           BitVector* candidates, QueryStats* stats) const;
+  /// M_R (and with it the reverse recheck) is sound only when the query ε
+  /// does not exceed the ε its required values were built with (Section
+  /// 4.5).
+  bool ReversePrefilterUsable(const TindParams& params) const;
 
-  /// Slice-stage pruning for forward search: probes every distinct version
-  /// of the query within each slice interval and accumulates partial
-  /// violation weights per candidate (Algorithm 1, lines 4-15). Returns
-  /// false iff `deadline` expired before all slices were probed.
-  bool PruneWithSlices(const AttributeHistory& query, const TindParams& params,
-                       BitVector* candidates,
-                       const StageDeadline* deadline = nullptr) const;
+  /// The four stage bodies behind StepGroup. Each skips abandoned members
+  /// and fills the funnel fields of QueryStats for the others.
+  void ProbeStage(Group* g) const;
+  void SliceStage(Group* g) const;
+  void RecheckStage(Group* g) const;
+  void ValidateStage(Group* g) const;
 
-  /// Slice-stage pruning for reverse search with minimum-violation
-  /// accounting (Section 4.5, Figure 6). Same deadline contract.
-  bool PruneReverseWithSlices(const AttributeHistory& query,
-                              const TindParams& params, BitVector* candidates,
-                              const StageDeadline* deadline = nullptr) const;
+  /// Forward slice pruning (Algorithm 1, lines 4-15): decodes each member's
+  /// slice versions, probes all (member, version) filters of a slice as one
+  /// batch, then replays the partial-violation bookkeeping per member.
+  void PruneForwardSlices(Group* g) const;
 
-  /// Runs exact validation over the surviving candidates; `forward` selects
-  /// the containment direction. An expired `deadline` behaves like a fired
-  /// `cancel`: empty results with stats->cancelled set.
+  /// Reverse slice pruning with minimum-violation accounting (Section 4.5,
+  /// Figure 6). The minimum version-subinterval weight depends only on the
+  /// candidate and the slice, so one lookup serves every member.
+  void PruneReverseSlices(Group* g) const;
+
+  /// Exact Algorithm-2 validation of one member's candidates; `forward`
+  /// selects the containment direction. Returns empty once `cancel` fires.
   std::vector<AttributeId> ValidateCandidates(
       const AttributeHistory& query, const TindParams& params,
-      const BitVector& candidates, bool forward, QueryStats* stats,
-      ThreadPool* pool, const CancellationToken* cancel = nullptr,
-      const StageDeadline* deadline = nullptr) const;
+      const BitVector& candidates, bool forward, ThreadPool* pool,
+      const CancellationToken* cancel, size_t* validations) const;
 
   /// Shared batch driver: shards the batch (across `pool` when given), then
-  /// runs the group pipeline per shard.
+  /// runs each group of up to kBloomBatchGroupSize queries.
   std::vector<std::vector<AttributeId>> BatchExecute(
       const std::vector<const AttributeHistory*>& queries,
       const TindParams& params, const BatchExecOptions& exec,
       std::vector<QueryStats>* stats, ThreadPool* pool, bool forward) const;
-
-  /// One group (≤ kBloomBatchGroupSize queries) of the forward batch
-  /// pipeline: M_T group probe → shared slice planning → exact recheck →
-  /// validation, writing results[b] / stats[b] per query. `cancels`, when
-  /// non-null, is parallel to this group's queries.
-  void BatchForwardGroup(const AttributeHistory* const* queries, size_t n,
-                         const TindParams& params,
-                         const CancellationToken* const* cancels,
-                         bool superset_only, QueryStats* stats,
-                         std::vector<AttributeId>* results) const;
-
-  /// One group of the reverse batch pipeline (M_R subset probes, shared
-  /// minimum-violation weights, shared required-value recheck).
-  void BatchReverseGroup(const AttributeHistory* const* queries, size_t n,
-                         const TindParams& params,
-                         const CancellationToken* const* cancels,
-                         bool superset_only, QueryStats* stats,
-                         std::vector<AttributeId>* results) const;
-
-  /// Slice-stage pruning for a forward group: decodes each query's slice
-  /// versions once, probes all (query, version) filters of a slice as one
-  /// batch, then replays the partial-violation bookkeeping per query.
-  /// Cancellation is observed at each slice's planning step: a cancelled
-  /// query plans no further probes (at most one already-planned slice of
-  /// probes still executes) and its candidate set is cleared.
-  void BatchPruneWithSlices(const AttributeHistory* const* queries, size_t n,
-                            const TindParams& params,
-                            const CancellationToken* const* cancels,
-                            BitVector* candidates) const;
-
-  /// Reverse slice pruning for a group, with the per-candidate minimum
-  /// version-subinterval weight (Figure 6) computed once per slice and
-  /// shared across every query of the group — it does not depend on the
-  /// query, only on the candidate attribute and the slice interval.
-  void BatchPruneReverseWithSlices(const AttributeHistory* const* queries,
-                                   size_t n, const TindParams& params,
-                                   const CancellationToken* const* cancels,
-                                   BitVector* candidates) const;
 
   /// Shared writer behind SaveSnapshot / CompactSnapshot (defined in the
   /// tind_snapshot library): `reuse`, when non-null, maps section id to

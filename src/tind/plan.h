@@ -7,12 +7,9 @@
 /// attributes that cannot be in the answer — so skipping a prune stage can
 /// never change the final result, only the amount of work stage 4 validates.
 /// A QueryPlan records which optional stages the cost-model planner
-/// (tind/planner.h) decided to skip; StageDeadline is the cooperative
-/// per-stage budget the progressive cursor (tind/progressive.h) threads
-/// through the stage bodies.
+/// (tind/planner.h) decided to skip.
 
-#include "common/cancellation.h"
-#include "common/stopwatch.h"
+#include <cstdint>
 
 namespace tind {
 
@@ -28,19 +25,14 @@ struct QueryPlan {
   bool skip_recheck = false;
 };
 
-/// Cooperative per-stage budget: polled between work units (slice probes,
-/// validation candidates). Either the external token firing or the wall
-/// budget elapsing expires the stage. A null cancel with a non-positive
-/// budget never expires.
-struct StageDeadline {
-  const CancellationToken* cancel = nullptr;
-  double budget_ms = 0;  ///< <= 0 means no time budget.
-  Stopwatch timer;       ///< Started when the stage begins.
-
-  bool Expired() const {
-    if (cancel != nullptr && cancel->cancelled()) return true;
-    return budget_ms > 0 && timer.ElapsedMillis() > budget_ms;
-  }
+/// The four funnel stages plus the terminal state. Values are ordered by
+/// execution; the wire protocol ships them as a u8.
+enum class SearchStage : uint8_t {
+  kProbe = 0,     ///< M_T (or M_R) Bloom probe — the microseconds stage.
+  kSlices = 1,    ///< Time-slice violation pruning.
+  kRecheck = 2,   ///< Exact required-values recheck.
+  kValidate = 3,  ///< Exact Algorithm-2 validation.
+  kDone = 4,
 };
 
 }  // namespace tind

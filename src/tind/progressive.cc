@@ -1,8 +1,5 @@
 #include "tind/progressive.h"
 
-#include <cassert>
-
-#include "common/stopwatch.h"
 #include "obs/metrics.h"
 #include "tind/planner.h"
 
@@ -26,119 +23,40 @@ const char* SearchStageName(SearchStage stage) {
 
 SearchCursor::SearchCursor(const TindIndex& index, const AttributeHistory& query,
                            const TindParams& params, const Options& options)
-    : index_(&index), query_(&query), params_(params), options_(options) {
-  assert(params_.weight != nullptr);
+    : index_(&index), planner_(options.planner) {
+  const AttributeHistory* queries[] = {&query};
+  group_ = index.MakeGroup(queries, 1, params, !options.reverse,
+                           &options.cancel);
+  group_.plan = options.plan;
+  group_.pool = options.pool;
   TIND_OBS_COUNTER_ADD("progressive/cursors", 1);
 }
 
-SearchStage SearchCursor::Step(double stage_budget_ms) {
-  if (stage_ == SearchStage::kDone) return stage_;
-  if (options_.cancel != nullptr && options_.cancel->cancelled()) {
-    Abandon();
-    return stage_;
+SearchStage SearchCursor::Step() {
+  const bool probing = group_.next == SearchStage::kProbe;
+  index_->StepGroup(&group_);
+  // The cost model decides the remaining stages once the stage-1 candidate
+  // count is known.
+  if (probing && planner_ != nullptr && !done()) {
+    group_.plan = planner_->Plan(*group_.queries[0], group_.params,
+                                 stats().initial_candidates);
   }
-  Stopwatch step_timer;
-  // Thread a deadline through the interruptible stages only when there is
-  // something to poll — the nullptr path keeps the uninterrupted cursor on
-  // exactly the monolithic Search code path.
-  StageDeadline deadline;
-  deadline.cancel = options_.cancel;
-  deadline.budget_ms = stage_budget_ms;
-  const StageDeadline* deadline_ptr =
-      (options_.cancel != nullptr || stage_budget_ms > 0) ? &deadline : nullptr;
-
-  switch (stage_) {
-    case SearchStage::kProbe: {
-      if (options_.reverse) {
-        index_->ReverseProbeStage(*query_, params_, &candidates_, &stats_);
-      } else {
-        index_->ForwardProbeStage(*query_, params_, &candidates_, &required_,
-                                  &stats_);
-      }
-      if (options_.planner != nullptr) {
-        options_.plan = options_.planner->Plan(*query_, params_,
-                                               stats_.initial_candidates);
-      }
-      stage_ = SearchStage::kSlices;
-      break;
-    }
-    case SearchStage::kSlices: {
-      const bool completed =
-          options_.reverse
-              ? index_->ReverseSliceStage(*query_, params_, options_.plan,
-                                          &candidates_, &stats_, deadline_ptr)
-              : index_->ForwardSliceStage(*query_, params_, options_.plan,
-                                          &candidates_, &stats_, deadline_ptr);
-      if (!completed) {
-        if (options_.cancel != nullptr && options_.cancel->cancelled()) {
-          elapsed_ms_ += step_timer.ElapsedMillis();
-          Abandon();
-          return stage_;
-        }
-        // Budget expiry without external cancellation: the partially-pruned
-        // candidate set is still a sound superset, so the funnel continues —
-        // the exact answer is unchanged, only less pre-validation pruning
-        // happened.
-        TIND_OBS_COUNTER_ADD("progressive/stage_timeouts", 1);
-      }
-      stage_ = SearchStage::kRecheck;
-      break;
-    }
-    case SearchStage::kRecheck: {
-      if (options_.reverse) {
-        index_->ReverseRecheckStage(*query_, params_, options_.plan,
-                                    &candidates_, &stats_);
-      } else {
-        index_->ForwardRecheckStage(required_, options_.plan, &candidates_,
-                                    &stats_);
-      }
-      stage_ = SearchStage::kValidate;
-      break;
-    }
-    case SearchStage::kValidate: {
-      results_ = index_->ValidateCandidates(
-          *query_, params_, candidates_, /*forward=*/!options_.reverse,
-          &stats_, options_.pool, options_.cancel, deadline_ptr);
-      if (stats_.cancelled) {
-        TIND_OBS_COUNTER_ADD(
-            (options_.cancel != nullptr && options_.cancel->cancelled())
-                ? "progressive/cancelled"
-                : "progressive/stage_timeouts",
-            1);
-      }
-      stage_ = SearchStage::kDone;
-      break;
-    }
-    case SearchStage::kDone:
-      break;
-  }
-  elapsed_ms_ += step_timer.ElapsedMillis();
-  stats_.elapsed_ms = elapsed_ms_;
-  return stage_;
+  return group_.next;
 }
 
 const std::vector<AttributeId>& SearchCursor::RunToCompletion() {
-  while (stage_ != SearchStage::kDone) Step();
-  return results_;
+  while (!done()) Step();
+  return results();
 }
 
 std::vector<AttributeId> SearchCursor::Superset() const {
-  const std::vector<size_t> ids = candidates_.ToIndexVector();
-  std::vector<AttributeId> out;
-  out.reserve(ids.size());
-  for (size_t id : ids) out.push_back(static_cast<AttributeId>(id));
-  return out;
+  const std::vector<size_t> ids = group_.candidates[0].ToIndexVector();
+  return std::vector<AttributeId>(ids.begin(), ids.end());
 }
 
 void SearchCursor::Abandon() {
-  // Candidates are deliberately kept: every completed prune was sound, so
-  // Superset() remains a valid over-approximation for degraded answers.
-  stats_.cancelled = true;
-  stats_.num_results = 0;
-  stats_.elapsed_ms = elapsed_ms_;
-  results_.clear();
-  stage_ = SearchStage::kDone;
-  TIND_OBS_COUNTER_ADD("progressive/cancelled", 1);
+  group_.Abandon(0);
+  group_.next = SearchStage::kDone;
 }
 
 }  // namespace tind

@@ -2,19 +2,20 @@
 #define TIND_TIND_PROGRESSIVE_H_
 
 /// \file progressive.h
-/// Anytime execution of the search funnel: a SearchCursor runs the exact
-/// same stage bodies as TindIndex::Search / ReverseSearch, but one stage per
+/// Anytime execution of the search funnel: a SearchCursor runs a search as
+/// a group of one on the index's batch pipeline — the same stage code as
+/// TindIndex::Search / ReverseSearch / BatchSearch — but one stage per
 /// Step() call, so a caller can read the sound candidate superset between
-/// stages (Superset()), attach per-stage budgets, abandon on cancellation,
-/// and still finish with results and QueryStats bit-identical to the
-/// monolithic call (the progressive differential test pins this).
+/// stages (Superset()), abandon on cancellation, and still finish with
+/// results and QueryStats bit-identical to the monolithic call (the
+/// progressive differential test pins this).
 ///
 /// Soundness across interruptions: stages 1–3 only ever *remove* candidates
 /// that provably cannot be answers, so the candidate set is a superset of
-/// the exact result at every cursor position — including after a mid-stage
-/// budget expiry or an Abandon(). Only stage 4 (validation) produces the
-/// exact answer, and an interrupted validation returns nothing rather than
-/// a partial (neither-sound-nor-exact) list.
+/// the exact result at every cursor position — including after a fired
+/// token or an Abandon(). Only stage 4 (validation) produces the exact
+/// answer, and an interrupted validation returns nothing rather than a
+/// partial (neither-sound-nor-exact) list.
 
 #include <vector>
 
@@ -28,16 +29,6 @@
 namespace tind {
 
 class CostModelPlanner;  // tind/planner.h
-
-/// The four funnel stages plus the terminal state. Values are ordered by
-/// execution; the wire protocol ships them as a u8.
-enum class SearchStage : uint8_t {
-  kProbe = 0,     ///< M_T (or M_R) Bloom probe — the microseconds stage.
-  kSlices = 1,    ///< Time-slice violation pruning.
-  kRecheck = 2,   ///< Exact required-values recheck.
-  kValidate = 3,  ///< Exact Algorithm-2 validation.
-  kDone = 4,
-};
 
 const char* SearchStageName(SearchStage stage);
 
@@ -70,18 +61,15 @@ class SearchCursor {
       : SearchCursor(index, query, params, Options()) {}
 
   /// Runs the next stage and returns the stage that should run next
-  /// (kDone when finished). `stage_budget_ms` > 0 bounds this stage's wall
-  /// time: an expired slice stage continues to the next stage with the
-  /// partially-pruned (still sound) candidate set; an expired validation
-  /// abandons the query like a cancellation.
-  SearchStage Step(double stage_budget_ms = 0);
+  /// (kDone when finished).
+  SearchStage Step();
 
   /// Steps until kDone; returns results().
   const std::vector<AttributeId>& RunToCompletion();
 
   /// The current candidate set as ascending attribute ids — a sound
   /// superset of the exact result at every cursor position, even after
-  /// Abandon() or a budget expiry.
+  /// Abandon() or a fired token.
   std::vector<AttributeId> Superset() const;
 
   /// Abandons the query: cancelled stats, empty results, cursor done.
@@ -89,25 +77,18 @@ class SearchCursor {
   /// layer's degrade-to-best-stage path).
   void Abandon();
 
-  SearchStage next_stage() const { return stage_; }
-  bool done() const { return stage_ == SearchStage::kDone; }
-  bool cancelled() const { return stats_.cancelled; }
-  const QueryStats& stats() const { return stats_; }
-  const std::vector<AttributeId>& results() const { return results_; }
-  const QueryPlan& plan() const { return options_.plan; }
-  size_t candidate_count() const { return candidates_.Count(); }
+  SearchStage next_stage() const { return group_.next; }
+  bool done() const { return group_.next == SearchStage::kDone; }
+  bool cancelled() const { return stats().cancelled; }
+  const QueryStats& stats() const { return group_.stats[0]; }
+  const std::vector<AttributeId>& results() const { return group_.results[0]; }
+  const QueryPlan& plan() const { return group_.plan; }
+  size_t candidate_count() const { return group_.candidates[0].Count(); }
 
  private:
   const TindIndex* index_;
-  const AttributeHistory* query_;
-  TindParams params_;
-  Options options_;
-  SearchStage stage_ = SearchStage::kProbe;
-  BitVector candidates_;
-  ValueSet required_;  ///< R_{ε,w}(Q); forward recheck input.
-  QueryStats stats_;
-  std::vector<AttributeId> results_;
-  double elapsed_ms_ = 0;  ///< Summed across Step() calls.
+  const CostModelPlanner* planner_;
+  TindIndex::Group group_;
 };
 
 }  // namespace tind

@@ -1,5 +1,6 @@
 #include "tind/required_values.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -24,6 +25,21 @@ ValueSet ComputeRequiredValues(const AttributeHistory& attribute,
     if (w > epsilon) required.push_back(value);
   }
   return ValueSet::FromUnsorted(std::move(required));
+}
+
+double MinVersionWeight(const AttributeHistory& attribute,
+                        const Interval& window, const WeightFunction& weight) {
+  const auto [first, last] = attribute.VersionRangeInInterval(window);
+  double min_w = -1;
+  for (int64_t v = first; v <= last; ++v) {
+    const Interval validity = attribute.ValidityInterval(v);
+    const Interval clipped{std::max(validity.begin, window.begin),
+                           std::min(validity.end, window.end)};
+    if (clipped.begin > clipped.end) continue;
+    const double w = weight.Sum(clipped);
+    if (min_w < 0 || w < min_w) min_w = w;
+  }
+  return min_w;
 }
 
 }  // namespace tind

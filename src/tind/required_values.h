@@ -19,6 +19,14 @@ namespace tind {
 ValueSet ComputeRequiredValues(const AttributeHistory& attribute,
                                const WeightFunction& weight, double epsilon);
 
+/// Minimum version-subinterval weight (Section 4.5, Figure 6): the least
+/// weight of any one version of `attribute` whose validity, clipped to
+/// `window`, is non-empty; -1 when no version overlaps the window. A reverse
+/// slice probe cannot tell which version of a candidate violated, so this is
+/// all a Bloom-level violation may add to the candidate's budget.
+double MinVersionWeight(const AttributeHistory& attribute,
+                        const Interval& window, const WeightFunction& weight);
+
 }  // namespace tind
 
 #endif  // TIND_TIND_REQUIRED_VALUES_H_

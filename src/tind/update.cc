@@ -24,24 +24,6 @@ ValueSet InternValues(ValueDictionary* dict,
   return ValueSet::FromUnsorted(std::move(ids));
 }
 
-/// Exact replica of the per-attribute minimum version-subinterval weight of
-/// TindIndex::BuildReverseCaches — same clipping, same summation, same
-/// comparison order, so a patched entry is bit-identical to a rebuilt one.
-double MinVersionWeight(const AttributeHistory& a, const Interval& expanded,
-                        const WeightFunction& weight) {
-  const auto [first, last] = a.VersionRangeInInterval(expanded);
-  double min_w = -1;
-  for (int64_t v = first; v <= last; ++v) {
-    const Interval validity = a.ValidityInterval(v);
-    const Interval clipped{std::max(validity.begin, expanded.begin),
-                           std::min(validity.end, expanded.end)};
-    if (clipped.begin > clipped.end) continue;
-    const double w = weight.Sum(clipped);
-    if (min_w < 0 || w < min_w) min_w = w;
-  }
-  return min_w;
-}
-
 /// Row word count a matrix section serializes for `columns` columns; when it
 /// differs between base and updated index, even an untouched slice section
 /// changes size on disk.

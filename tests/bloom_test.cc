@@ -275,89 +275,6 @@ TEST(BloomBatchTest, ZeroProbesIsANoOp) {
   matrix.QuerySubsetsBatch(nullptr, 0);
 }
 
-/// The stage-resumable Partial kernels must be equivalent to one full batch
-/// call no matter where execution is suspended: processing a batch in
-/// chunks of whole 64-probe groups — including lopsided chunkings and a
-/// max_probes of 1 (rounds up to one group) — lands every probe's BitVector
-/// in the same state as the uninterrupted call.
-TEST(BloomBatchPartialTest, ChunkedResumptionMatchesFullBatch) {
-  Rng rng(97);
-  const size_t n_cols = 333;
-  BloomMatrix matrix(256, 3, n_cols);
-  for (size_t c = 0; c < n_cols; ++c) {
-    std::vector<ValueId> vals;
-    const size_t card = rng.Uniform(12);
-    for (size_t i = 0; i < card; ++i) {
-      vals.push_back(static_cast<ValueId>(rng.Uniform(500)));
-    }
-    matrix.SetColumn(c, ValueSet::FromUnsorted(std::move(vals)));
-  }
-  const size_t batch = 130;  // Two full groups + a ragged tail.
-  std::vector<BloomFilter> filters;
-  std::vector<BitVector> reference_cand;
-  for (size_t b = 0; b < batch; ++b) {
-    std::vector<ValueId> vals;
-    const size_t card = b % 5 == 0 ? 0 : rng.Uniform(25);
-    for (size_t i = 0; i < card; ++i) {
-      vals.push_back(static_cast<ValueId>(rng.Uniform(500)));
-    }
-    filters.push_back(
-        matrix.MakeQueryFilter(ValueSet::FromUnsorted(std::move(vals))));
-    BitVector cand(n_cols);
-    for (size_t c = 0; c < n_cols; ++c) {
-      if (rng.Bernoulli(0.8)) cand.Set(c);
-    }
-    reference_cand.push_back(std::move(cand));
-  }
-
-  for (const bool subsets : {false, true}) {
-    // Uninterrupted reference.
-    std::vector<BitVector> full_out = reference_cand;
-    std::vector<BloomProbe> full_probes;
-    for (size_t b = 0; b < batch; ++b) {
-      full_probes.push_back(BloomProbe{&filters[b], &full_out[b]});
-    }
-    if (subsets) {
-      matrix.QuerySubsetsBatch(full_probes);
-    } else {
-      matrix.QuerySupersetsBatch(full_probes);
-    }
-
-    // Chunkings: per-group, lopsided, single-probe budget (rounds up to a
-    // whole group), and everything-at-once.
-    for (const size_t max_probes :
-         {size_t{1}, size_t{64}, size_t{100}, size_t{500}}) {
-      std::vector<BitVector> chunked_out = reference_cand;
-      std::vector<BloomProbe> probes;
-      for (size_t b = 0; b < batch; ++b) {
-        probes.push_back(BloomProbe{&filters[b], &chunked_out[b]});
-      }
-      size_t begin = 0;
-      size_t rounds = 0;
-      while (begin < batch) {
-        const size_t next =
-            subsets ? matrix.QuerySubsetsBatchPartial(probes.data(), batch,
-                                                      begin, max_probes)
-                    : matrix.QuerySupersetsBatchPartial(probes.data(), batch,
-                                                        begin, max_probes);
-        ASSERT_GT(next, begin) << "no forward progress";
-        ASSERT_EQ(next % 64 == 0 || next == batch, true)
-            << "resume point must be a group boundary or the end";
-        begin = next;
-        ++rounds;
-      }
-      if (max_probes == 1) EXPECT_EQ(rounds, (batch + 63) / 64);
-      for (size_t b = 0; b < batch; ++b) {
-        for (size_t c = 0; c < n_cols; ++c) {
-          ASSERT_EQ(chunked_out[b].Get(c), full_out[b].Get(c))
-              << (subsets ? "subsets" : "supersets")
-              << " max_probes=" << max_probes << " b=" << b << " col=" << c;
-        }
-      }
-    }
-  }
-}
-
 /// Restores the global metrics enabled flag.
 class MetricsEnabledGuard {
  public:

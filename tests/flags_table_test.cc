@@ -77,6 +77,47 @@ TEST(FlagsTest, EmptyListEntriesSkipped) {
   EXPECT_EQ(f.GetIntList("sizes", {}), (std::vector<int64_t>{1, 2}));
 }
 
+/// Exit code of a rejected numeric flag (the InvalidArgument code).
+int RejectedFlagCode() {
+  return StatusExitCode(Status::InvalidArgument(""));
+}
+
+TEST(FlagsDeathTest, MalformedNumberExits) {
+  EXPECT_EXIT(ParseArgs({"--attributes=abc"}).GetInt("attributes", 5),
+              ::testing::ExitedWithCode(RejectedFlagCode()),
+              "--attributes=abc");
+  EXPECT_EXIT(ParseArgs({"--queries=12x"}).GetInt("queries", 5),
+              ::testing::ExitedWithCode(RejectedFlagCode()), "--queries=12x");
+  EXPECT_EXIT(ParseArgs({"--eps=3.5.1"}).GetDouble("eps", 1.0),
+              ::testing::ExitedWithCode(RejectedFlagCode()), "--eps=3.5.1");
+  EXPECT_EXIT(ParseArgs({"--eps="}).GetDouble("eps", 1.0),
+              ::testing::ExitedWithCode(RejectedFlagCode()), "--eps=");
+  // A bare flag means "true", which is not a number.
+  EXPECT_EXIT(ParseArgs({"--attributes"}).GetInt("attributes", 5),
+              ::testing::ExitedWithCode(RejectedFlagCode()),
+              "--attributes=true");
+}
+
+TEST(FlagsDeathTest, OutOfRangeExits) {
+  EXPECT_EXIT(ParseArgs({"--seed=99999999999999999999"}).GetInt("seed", 1),
+              ::testing::ExitedWithCode(RejectedFlagCode()), "--seed=");
+  EXPECT_EXIT(ParseArgs({"--eps=1e999"}).GetDouble("eps", 1.0),
+              ::testing::ExitedWithCode(RejectedFlagCode()), "--eps=1e999");
+}
+
+TEST(FlagsDeathTest, MalformedListEntryExits) {
+  EXPECT_EXIT(ParseArgs({"--sizes=1,two,3"}).GetIntList("sizes", {}),
+              ::testing::ExitedWithCode(RejectedFlagCode()), "--sizes=two");
+  EXPECT_EXIT(ParseArgs({"--eps=0.5,x"}).GetDoubleList("eps", {}),
+              ::testing::ExitedWithCode(RejectedFlagCode()), "--eps=x");
+}
+
+TEST(FlagsTest, NegativeAndExponentValuesParse) {
+  const Flags f = ParseArgs({"--delta=-3", "--eps=2.5e-1"});
+  EXPECT_EQ(f.GetInt("delta", 0), -3);
+  EXPECT_DOUBLE_EQ(f.GetDouble("eps", 0), 0.25);
+}
+
 TEST(TablePrinterTest, AlignsColumns) {
   TablePrinter t({"name", "v"});
   t.AddRow({"a", "1"});
