@@ -102,6 +102,71 @@ void BM_ViolationWeightSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_ViolationWeightSweep)->Arg(0)->Arg(7)->Arg(90)->ArgName("delta");
 
+/// The corpus catch-all shape that dominates discovery's validation time:
+/// Q has 16 versions of about 5.5k values over a 5.6k-value universe, and
+/// 20 candidates of the same shape. One query validates all 20.
+struct CatchAllFixture {
+  static constexpr size_t kCandidates = 20;
+  TimeDomain domain{2000};
+  ConstantWeight weight{2000};
+  AttributeHistory q;
+  std::vector<AttributeHistory> as;
+
+  static AttributeHistory MakeCatchAll(Rng* rng, const TimeDomain& domain,
+                                       AttributeId id) {
+    AttributeHistoryBuilder b(id, {}, domain);
+    for (Timestamp t = 0; t < 2000; t += 125) {  // 16 versions.
+      std::vector<ValueId> vals;
+      for (ValueId v = 0; v < 5600; ++v) {
+        if (rng->Bernoulli(0.985)) vals.push_back(v);
+      }
+      (void)b.AddVersion(t, ValueSet::FromUnsorted(std::move(vals)));
+    }
+    return std::move(*b.Finish());
+  }
+
+  CatchAllFixture() {
+    Rng rng(77);
+    q = MakeCatchAll(&rng, domain, 0);
+    for (size_t i = 1; i <= kCandidates; ++i) {
+      as.push_back(MakeCatchAll(&rng, domain, static_cast<AttributeId>(i)));
+    }
+  }
+};
+
+CatchAllFixture* GetCatchAllFixture() {
+  static CatchAllFixture fixture;
+  return &fixture;
+}
+
+void BM_ValidateCatchAllPerCandidate(benchmark::State& state) {
+  // ValidateTind(q, a) per candidate: the Q side of Algorithm 2 is
+  // prepared again for every candidate.
+  CatchAllFixture* f = GetCatchAllFixture();
+  const TindParams params{3.0, 7, &f->weight};
+  for (auto _ : state) {
+    for (const AttributeHistory& a : f->as) {
+      benchmark::DoNotOptimize(ValidateTind(f->q, a, params, f->domain));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * CatchAllFixture::kCandidates);
+}
+BENCHMARK(BM_ValidateCatchAllPerCandidate)->Unit(benchmark::kMillisecond);
+
+void BM_ValidateCatchAllPrepared(benchmark::State& state) {
+  // The discovery path: prepare Q once, then validate every candidate.
+  CatchAllFixture* f = GetCatchAllFixture();
+  const TindParams params{3.0, 7, &f->weight};
+  for (auto _ : state) {
+    const PreparedQuery prepared(f->q);
+    for (const AttributeHistory& a : f->as) {
+      benchmark::DoNotOptimize(ValidateTind(prepared, a, params, f->domain));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * CatchAllFixture::kCandidates);
+}
+BENCHMARK(BM_ValidateCatchAllPrepared)->Unit(benchmark::kMillisecond);
+
 void BM_RequiredValuesStyleVersionScan(benchmark::State& state) {
   // Cost of one full pass over a history's versions (index-build primitive).
   Fixture* f = GetFixture(static_cast<size_t>(state.range(0)));

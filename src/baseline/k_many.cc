@@ -1,6 +1,7 @@
 #include "baseline/k_many.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -87,9 +88,11 @@ Result<std::vector<AttributeId>> KMany::Search(const AttributeHistory& query,
   std::vector<AttributeId> results;
   std::vector<size_t> ids = candidates.ToIndexVector();
   if (stats != nullptr) stats->validations = ids.size();
+  std::optional<PreparedQuery> prepared;
+  if (!ids.empty()) prepared.emplace(query);
   for (const size_t c : ids) {
     const AttributeHistory& a = dataset_->attribute(static_cast<AttributeId>(c));
-    if (ValidateTind(query, a, params, dataset_->domain())) {
+    if (ValidateTind(*prepared, a, params, dataset_->domain())) {
       results.push_back(static_cast<AttributeId>(c));
     }
   }

@@ -82,10 +82,9 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   TIND_OBS_COUNTER_ADD("thread_pool/parallel_for_calls", 1);
   TIND_OBS_COUNTER_ADD("thread_pool/parallel_for_items", end - begin);
   const size_t n = end - begin;
-  const size_t num_chunks = std::min(n, num_threads() * 4);
 
   // Shared failure state: the first exception wins, and its arrival (or a
-  // cancellation) makes every chunk bail at the next index boundary.
+  // cancellation) makes every worker bail at the next index boundary.
   std::atomic<bool> abort{false};
   std::exception_ptr first_exception;
   std::mutex exception_mutex;
@@ -103,24 +102,22 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
     fn(i);
   };
 
-  if (num_chunks <= 1) {
+  const size_t num_workers = std::min(n, num_threads());
+  if (num_workers <= 1) {
     for (size_t i = begin; i < end && !should_stop(); ++i) run_index(i);
     return;
   }
-  const size_t chunk = (n + num_chunks - 1) / num_chunks;
+  // Indices are claimed one at a time, so a slow index holds back only the
+  // worker running it.
   std::atomic<size_t> next{begin};
   // Never throws: exceptions are parked in first_exception so that every
   // queued copy of this lambda outlives the frame it captures by reference.
   const auto worker = [&] {
     while (!should_stop()) {
-      const size_t lo = next.fetch_add(chunk);
-      if (lo >= end) return;
-      const size_t hi = std::min(end, lo + chunk);
+      const size_t i = next.fetch_add(1);
+      if (i >= end) return;
       try {
-        for (size_t i = lo; i < hi; ++i) {
-          if (should_stop()) return;
-          run_index(i);
-        }
+        run_index(i);
       } catch (...) {
         {
           std::lock_guard<std::mutex> lock(exception_mutex);
@@ -132,12 +129,12 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
     }
   };
   std::vector<std::future<void>> futures;
-  futures.reserve(num_chunks - 1);
-  // Keep one share of the work on the calling thread so ParallelFor makes
-  // progress even if all workers are busy with other submissions.
-  for (size_t c = 1; c < num_chunks; ++c) futures.push_back(Submit(worker));
+  futures.reserve(num_workers - 1);
+  // The calling thread is one of the workers, so ParallelFor makes progress
+  // even if every pool thread is busy with other submissions.
+  for (size_t w = 1; w < num_workers; ++w) futures.push_back(Submit(worker));
   worker();
-  // Drain unconditionally — the chunk lambdas reference this frame.
+  // Drain unconditionally — the worker lambdas reference this frame.
   for (auto& f : futures) f.get();
   if (first_exception) {
     TIND_OBS_COUNTER_ADD("thread_pool/parallel_for_exceptions", 1);

@@ -4,8 +4,9 @@
 /// \file thread_pool.h
 /// A fixed-size worker pool used to parallelize tIND validation and, for the
 /// all-pairs problem, whole queries (the paper parallelizes over queries —
-/// Section 4.2.2). Also provides a ParallelFor convenience with static
-/// chunking, which matches the embarrassingly parallel shape of our loops.
+/// Section 4.2.2). Also provides a ParallelFor convenience that hands out
+/// one index at a time, so one slow index (an expensive query group) never
+/// holds back the indices after it.
 ///
 /// Failure semantics:
 ///  * Submit: the returned future owns the task's outcome. An exception
@@ -14,8 +15,8 @@
 ///    exception too — use SubmitDetached for fire-and-forget work.
 ///  * SubmitDetached: a task whose exception escapes is reported to stderr
 ///    and counted ("thread_pool/detached_exceptions") instead of vanishing.
-///  * ParallelFor: the first exception thrown by any chunk is captured,
-///    remaining chunks stop at the next index boundary, all in-flight work
+///  * ParallelFor: the first exception thrown by any index is captured,
+///    the workers stop at the next index boundary, all in-flight work
 ///    drains, and the exception is rethrown on the calling thread — no
 ///    worker dies, no index is half-processed without the caller knowing.
 ///  * Cancellation: pass a CancellationToken to ParallelFor to stop at the
@@ -75,12 +76,13 @@ class ThreadPool {
     });
   }
 
-  /// Runs `fn(i)` for all i in [begin, end), distributing contiguous chunks
-  /// over the pool. Blocks until every index has been processed, a chunk
-  /// throws (first exception rethrown here after all chunks drain), or
+  /// Runs `fn(i)` for all i in [begin, end) on up to num_threads() workers,
+  /// each claiming the next unclaimed index, in ascending order, whenever
+  /// it finishes one. Blocks until every index has been processed, an index
+  /// throws (first exception rethrown here after all workers drain), or
   /// `cancel` is triggered (remaining indices are skipped). The calling
-  /// thread participates, so the pool may be used reentrantly from `fn`
-  /// only if no chunk blocks on another chunk.
+  /// thread is one of the workers, so the pool may be used reentrantly from
+  /// `fn` only if no index blocks on another index.
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& fn,
                    const CancellationToken* cancel = nullptr);

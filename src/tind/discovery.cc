@@ -90,26 +90,28 @@ Result<AllPairsResult> DiscoverAllTinds(const TindIndex& index,
 
   // Shared run state. `internal_cancel` trips on user cancellation, budget
   // exhaustion, or an injected preemption, and stops ParallelFor at the
-  // next index boundary.
+  // next group boundary.
   CancellationToken internal_cancel;
-  std::atomic<bool> user_cancelled{false};
-  std::atomic<size_t> total_validations{0};
   std::atomic<size_t> reserved_bytes{0};
   BudgetGuard budget_guard{options.memory, &reserved_bytes};
+  // Guards per_query, done and everything below it: results are recorded
+  // only by the replay, which runs under this lock.
   std::mutex state_mutex;
-  Status oom_status;             // Guarded by state_mutex until the join.
-  size_t completed = resumed;    // Guarded by state_mutex.
-  size_t since_checkpoint = 0;   // Guarded by state_mutex.
-  std::atomic<size_t> checkpoints_written{0};
-  std::atomic<size_t> checkpoint_failures{0};
+  bool user_cancelled = false;
+  Status oom_status;
+  size_t completed = resumed;
+  size_t since_checkpoint = 0;
+  size_t total_validations = 0;
+  size_t checkpoints_written = 0;
+  size_t checkpoint_failures = 0;
 
   const auto record_checkpoint_write = [&](const Status& written) {
     if (written.ok()) {
-      checkpoints_written.fetch_add(1);
+      ++checkpoints_written;
       TIND_OBS_COUNTER_ADD("discovery/checkpoints_written", 1);
     } else {
       // Non-fatal: the run only loses resume granularity.
-      checkpoint_failures.fetch_add(1);
+      ++checkpoint_failures;
       TIND_OBS_COUNTER_ADD("discovery/checkpoint_failures", 1);
     }
   };
@@ -140,111 +142,125 @@ Result<AllPairsResult> DiscoverAllTinds(const TindIndex& index,
       };
 
   // Records one answered query: validation count, result-byte budgeting,
-  // and checkpoint cadence — the same per-query bookkeeping the pre-batch
-  // driver did, replayed in ascending query order after each batch.
-  // Returns false when the budget is exhausted (the run stops and the
-  // remaining answers of the batch are discarded, exactly as if those
-  // queries had never run).
+  // and checkpoint cadence. Caller holds state_mutex. Returns false when the
+  // budget is exhausted (the run stops and the remaining answers are
+  // discarded, exactly as if those queries had never run).
   const auto record_result = [&](size_t q, std::vector<AttributeId> rhs_list,
                                  const QueryStats& stats) {
-    total_validations.fetch_add(stats.validations, std::memory_order_relaxed);
+    total_validations += stats.validations;
     if (options.memory != nullptr) {
       const size_t bytes = rhs_list.size() * sizeof(AttributeId);
       const Status reserve = options.memory->Allocate(bytes);
       if (!reserve.ok()) {
-        {
-          std::lock_guard<std::mutex> lock(state_mutex);
-          if (oom_status.ok()) oom_status = reserve;
-        }
+        oom_status = reserve;
         internal_cancel.Cancel();
         return false;
       }
       reserved_bytes.fetch_add(bytes, std::memory_order_relaxed);
     }
-    bool write_checkpoint = false;
-    DiscoveryCheckpoint snapshot;
-    {
-      std::lock_guard<std::mutex> lock(state_mutex);
-      per_query[q] = std::move(rhs_list);
-      done[q] = 1;
-      ++completed;
-      if (!options.checkpoint_path.empty() &&
-          ++since_checkpoint >= options.checkpoint_interval) {
-        since_checkpoint = 0;
-        snapshot = MakeCheckpoint(n, done, per_query);
-        write_checkpoint = true;
-      }
-    }
-    if (write_checkpoint) {
-      save_checkpoint_with_retry(snapshot);
+    per_query[q] = std::move(rhs_list);
+    done[q] = 1;
+    ++completed;
+    if (!options.checkpoint_path.empty() &&
+        ++since_checkpoint >= options.checkpoint_interval) {
+      since_checkpoint = 0;
+      save_checkpoint_with_retry(MakeCheckpoint(n, done, per_query));
     }
     return true;
   };
 
   const auto write_final_checkpoint = [&] {
     if (options.checkpoint_path.empty()) return;
-    DiscoveryCheckpoint snapshot;
-    {
-      std::lock_guard<std::mutex> lock(state_mutex);
-      snapshot = MakeCheckpoint(n, done, per_query);
-    }
-    save_checkpoint_with_retry(snapshot);
+    std::lock_guard<std::mutex> lock(state_mutex);
+    save_checkpoint_with_retry(MakeCheckpoint(n, done, per_query));
   };
 
-  // Window pending queries into batches and answer each window with one
-  // BatchSearch call (sharded across the pool inside the index). Stop
-  // checks — user cancellation and the chaos fault points — are evaluated
-  // per query while the window's results are *replayed in ascending query
-  // order*, before that query's result is recorded. This keeps the
-  // pre-batch driver's recovery semantics: when a stop or injected death
-  // fires at query q, exactly the queries before q are completed and
-  // checkpointed per cadence, and the window's remaining answers are
-  // discarded as if those queries had never run. (The batch may have
-  // computed them already — wasted work, never wrong state.)
-  const size_t workers =
-      options.pool != nullptr ? options.pool->num_threads() : 1;
-  const size_t window =
-      std::max<size_t>(1, options.batch_size) * std::max<size_t>(1, workers);
-  std::vector<const AttributeHistory*> pending;
+  // Cut the pending queries (those not restored from the checkpoint) into
+  // groups of batch_size and answer each group with one single-group
+  // BatchSearch, so the Bloom matrices are streamed once per group. Workers
+  // claim groups one at a time: a slow group (catch-all queries with many
+  // candidates) holds back only its own worker. Answers are *replayed in
+  // ascending query order*: whichever thread finishes the group at the
+  // replay cursor replays it and every consecutive finished group after it.
+  // Stop checks — user cancellation and the chaos fault points — are
+  // evaluated per query during the replay, before that query's result is
+  // recorded, so when a stop or injected death fires at query q exactly the
+  // queries before q are completed and checkpointed per cadence. Answers
+  // computed past the stop are discarded as if those queries had never run
+  // (wasted work, never wrong state).
   std::vector<size_t> pending_ids;
-  std::vector<QueryStats> batch_stats;
-  try {
-    for (size_t base = 0; base < n && !internal_cancel.cancelled();
-         base += window) {
-      const size_t end = std::min(n, base + window);
-      pending.clear();
-      pending_ids.clear();
-      for (size_t q = base; q < end; ++q) {
-        if (done[q]) continue;  // Restored from the checkpoint.
-        pending.push_back(&dataset.attribute(static_cast<AttributeId>(q)));
-        pending_ids.push_back(q);
+  for (size_t q = 0; q < n; ++q) {
+    if (!done[q]) pending_ids.push_back(q);
+  }
+  const size_t group_size = std::max<size_t>(1, options.batch_size);
+  const size_t num_groups = (pending_ids.size() + group_size - 1) / group_size;
+  struct GroupAnswers {
+    bool finished = false;
+    std::vector<std::vector<AttributeId>> answers;
+    std::vector<QueryStats> stats;
+  };
+  std::vector<GroupAnswers> groups(num_groups);  // Guarded by state_mutex.
+  size_t replay_cursor = 0;                      // Guarded by state_mutex.
+
+  // Replays group g's answers; returns false once the run stops.
+  const auto replay_group = [&](size_t g) {
+    GroupAnswers& group = groups[g];
+    for (size_t i = 0; i < group.answers.size(); ++i) {
+      if (options.cancel != nullptr && options.cancel->cancelled()) {
+        user_cancelled = true;
+        internal_cancel.Cancel();
+        return false;
       }
-      if (pending.empty()) continue;
-      TIND_OBS_COUNTER_ADD("discovery/batches", 1);
-      // Per-query validation stays sequential inside the batch groups: with
-      // many concurrent queries, nesting validation parallelism only adds
-      // contention.
-      std::vector<std::vector<AttributeId>> answers =
-          index.BatchSearch(pending, params, &batch_stats, options.pool);
-      for (size_t i = 0; i < pending_ids.size(); ++i) {
-        if (options.cancel != nullptr && options.cancel->cancelled()) {
-          user_cancelled.store(true, std::memory_order_relaxed);
-          internal_cancel.Cancel();
-          break;
-        }
-        // Chaos-only: an injected preemption behaves like an external stop
-        // request, and an injected die simulates power loss — the
-        // checkpoint on disk must carry the recovery on its own.
-        if (TIND_FAULT_POINT("discovery/preempt")) {
-          user_cancelled.store(true, std::memory_order_relaxed);
-          internal_cancel.Cancel();
-          break;
-        }
-        if (TIND_FAULT_POINT("discovery/die")) std::raise(SIGKILL);
-        if (!record_result(pending_ids[i], std::move(answers[i]),
-                           batch_stats[i])) {
-          break;
-        }
+      // Chaos-only: an injected preemption behaves like an external stop
+      // request, and an injected die simulates power loss — the
+      // checkpoint on disk must carry the recovery on its own.
+      if (TIND_FAULT_POINT("discovery/preempt")) {
+        user_cancelled = true;
+        internal_cancel.Cancel();
+        return false;
+      }
+      if (TIND_FAULT_POINT("discovery/die")) std::raise(SIGKILL);
+      if (!record_result(pending_ids[g * group_size + i],
+                         std::move(group.answers[i]), group.stats[i])) {
+        return false;
+      }
+    }
+    group = GroupAnswers{};  // Release the replayed answers.
+    return true;
+  };
+
+  const auto run_group = [&](size_t g) {
+    // Once the user's token fires nothing past the replay cursor can be
+    // recorded, so later groups are not worth computing.
+    if (options.cancel != nullptr && options.cancel->cancelled()) return;
+    const size_t lo = g * group_size;
+    const size_t hi = std::min(pending_ids.size(), lo + group_size);
+    std::vector<const AttributeHistory*> queries;
+    queries.reserve(hi - lo);
+    for (size_t i = lo; i < hi; ++i) {
+      queries.push_back(
+          &dataset.attribute(static_cast<AttributeId>(pending_ids[i])));
+    }
+    TIND_OBS_COUNTER_ADD("discovery/batches", 1);
+    // No pool inside the group: the driver already runs one group per
+    // worker, and nesting validation parallelism only adds contention.
+    std::vector<QueryStats> stats;
+    std::vector<std::vector<AttributeId>> answers =
+        index.BatchSearch(queries, params, &stats, /*pool=*/nullptr);
+    std::lock_guard<std::mutex> lock(state_mutex);
+    groups[g] = GroupAnswers{true, std::move(answers), std::move(stats)};
+    while (!internal_cancel.cancelled() && replay_cursor < num_groups &&
+           groups[replay_cursor].finished && replay_group(replay_cursor)) {
+      ++replay_cursor;
+    }
+  };
+
+  try {
+    if (options.pool != nullptr) {
+      options.pool->ParallelFor(0, num_groups, run_group, &internal_cancel);
+    } else {
+      for (size_t g = 0; g < num_groups && !internal_cancel.cancelled(); ++g) {
+        run_group(g);
       }
     }
   } catch (const std::exception& e) {
@@ -263,7 +279,7 @@ Result<AllPairsResult> DiscoverAllTinds(const TindIndex& index,
         " queries; result bytes reserved: " +
         std::to_string(reserved_bytes.load()) + ")");
   }
-  if (user_cancelled.load() ||
+  if (user_cancelled ||
       (options.cancel != nullptr && options.cancel->cancelled())) {
     write_final_checkpoint();
     return Status::Cancelled(
@@ -276,10 +292,10 @@ Result<AllPairsResult> DiscoverAllTinds(const TindIndex& index,
 
   AllPairsResult result;
   result.num_queries = n;
-  result.total_validations = total_validations.load();
+  result.total_validations = total_validations;
   result.resumed_queries = resumed;
-  result.checkpoints_written = checkpoints_written.load();
-  result.checkpoint_failures = checkpoint_failures.load();
+  result.checkpoints_written = checkpoints_written;
+  result.checkpoint_failures = checkpoint_failures;
   size_t total_pairs = 0;
   for (const auto& rhs_list : per_query) total_pairs += rhs_list.size();
   result.pairs.reserve(total_pairs);

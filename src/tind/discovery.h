@@ -6,9 +6,10 @@
 /// A ⊆_{w,ε,δ} B within a dataset by querying each attribute against the
 /// index. As the paper notes (Section 4.2.2), it is superior to parallelize
 /// the *queries* rather than the per-query validations, which is what this
-/// driver does — by windowing pending queries into TindIndex::BatchSearch
-/// batches, so the Bloom matrices are streamed once per group of queries
-/// instead of once per query.
+/// driver does: pending queries are cut into groups, each answered by one
+/// single-group TindIndex::BatchSearch (the Bloom matrices are streamed once
+/// per group instead of once per query). Pool workers claim groups one at a
+/// time, and finished groups are replayed in ascending query order.
 ///
 /// Fault tolerance: the options-based overload supports cooperative
 /// cancellation, byte budgeting of the accumulated result set (the k-MANY
@@ -78,13 +79,13 @@ struct DiscoveryOptions {
   /// write counts as failed; 0 disables retries. Retries are tallied in the
   /// "discovery/checkpoint_retries" obs counter.
   uint32_t checkpoint_retries = 3;
-  /// Queries answered per TindIndex::BatchSearch group (0 behaves as 1).
-  /// The driver windows pending queries into batch_size * pool-width
-  /// chunks; cancellation, fault injection, budgeting, and checkpointing
-  /// all keep their per-query granularity (evaluated while a window's
-  /// results are replayed in query order, so a stop at query q leaves
-  /// exactly the pre-q queries completed) — only the index probing is
-  /// amortized. kBloomBatchGroupSize is the natural maximum.
+  /// Queries per group (0 behaves as 1): each group of pending queries is
+  /// one TindIndex::BatchSearch call and one ParallelFor index, claimed by
+  /// the next free worker. Cancellation, fault injection, budgeting, and
+  /// checkpointing all keep their per-query granularity (evaluated while
+  /// finished groups are replayed in query order, so a stop at query q
+  /// leaves exactly the pre-q queries completed) — only the index probing
+  /// is amortized. kBloomBatchGroupSize is the natural maximum.
   size_t batch_size = 64;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <optional>
 #include <unordered_map>
 
 #include "common/fault_injection.h"
@@ -436,6 +437,11 @@ std::vector<AttributeId> TindIndex::ValidateCandidates(
   const std::vector<size_t> ids = candidates.ToIndexVector();
   std::vector<char> valid(ids.size(), 0);
   std::atomic<size_t> validations_run{0};
+  // The query's side of Algorithm 2 is prepared once and shared read-only
+  // by every validation; in reverse the candidate is the lhs, so each
+  // validation prepares its own.
+  std::optional<PreparedQuery> prepared;
+  if (forward && !ids.empty()) prepared.emplace(query);
   const auto validate_one = [&](size_t i) {
     // Validation is the most expensive stage, so cancellation is polled per
     // candidate: once the token fires, at most the in-flight validations
@@ -445,7 +451,7 @@ std::vector<AttributeId> TindIndex::ValidateCandidates(
     const AttributeHistory& a =
         dataset_->attribute(static_cast<AttributeId>(ids[i]));
     const bool ok = forward
-                        ? ValidateTind(query, a, params, dataset_->domain())
+                        ? ValidateTind(*prepared, a, params, dataset_->domain())
                         : ValidateTind(a, query, params, dataset_->domain());
     valid[i] = ok ? 1 : 0;
   };

@@ -17,32 +17,14 @@ namespace {
 /// ContainsAll, so the window tracks counts for Q's value universe alone —
 /// a candidate with huge versions (the corpus catch-alls, the worst and
 /// most common validation case) costs one sorted intersection per version
-/// instead of hashing every value it holds into a map.
+/// instead of hashing every value it holds into a map. The universe and
+/// Q's slot lists come from the PreparedQuery; the window owns only the
+/// per-candidate counts.
 class DeltaWindow {
  public:
-  DeltaWindow(const AttributeHistory& q, const AttributeHistory& a,
+  DeltaWindow(const PreparedQuery& q, const AttributeHistory& a,
               int64_t delta)
-      : a_(a), delta_(delta) {
-    std::vector<const ValueSet*> q_versions;
-    q_versions.reserve(q.num_versions());
-    for (const ValueSet& v : q.versions()) q_versions.push_back(&v);
-    universe_ = ValueSet::UnionOf(q_versions);
-    counts_.assign(universe_.size(), 0);
-    // Each Q version is a subset of the universe; resolve its values to
-    // universe slots once so the per-interval containment check is a flat
-    // count lookup.
-    version_slots_.resize(q.num_versions());
-    const auto& u = universe_.values();
-    for (size_t vi = 0; vi < q.num_versions(); ++vi) {
-      const auto& vals = q.versions()[vi].values();
-      version_slots_[vi].reserve(vals.size());
-      for (const ValueId v : vals) {
-        const auto it = std::lower_bound(u.begin(), u.end(), v);
-        version_slots_[vi].push_back(
-            static_cast<uint32_t>(it - u.begin()));
-      }
-    }
-  }
+      : q_(q), a_(a), delta_(delta), counts_(q.universe().size(), 0) {}
 
   void AdvanceTo(Timestamp ts) {
     const auto& change_ts = a_.change_timestamps();
@@ -64,7 +46,7 @@ class DeltaWindow {
   /// True iff every value of Q's version `q_version` (by index) is present
   /// in the window.
   bool ContainsAll(size_t q_version) const {
-    for (const uint32_t slot : version_slots_[q_version]) {
+    for (const uint32_t slot : q_.slots(q_version)) {
       if (counts_[slot] == 0) return false;
     }
     return true;
@@ -75,7 +57,7 @@ class DeltaWindow {
   /// version `idx`. Enter and leave enumerate the identical intersection,
   /// so the counts stay balanced.
   void UpdateVersion(int64_t idx, int delta) {
-    const auto& u = universe_.values();
+    const auto& u = q_.universe().values();
     const auto& av = a_.versions()[static_cast<size_t>(idx)].values();
     if (u.empty() || av.empty()) return;
     // Adaptive intersection: binary-search the big side when the sizes are
@@ -111,12 +93,11 @@ class DeltaWindow {
     }
   }
 
+  const PreparedQuery& q_;
   const AttributeHistory& a_;
   const int64_t delta_;
   int64_t next_enter_ = 0;       ///< First version not yet entered.
   int64_t first_in_window_ = 0;  ///< First version still in the window.
-  ValueSet universe_;            ///< Union of all Q versions, sorted.
-  std::vector<std::vector<uint32_t>> version_slots_;
   std::vector<int> counts_;      ///< Window multiplicity per universe slot.
 };
 
@@ -151,12 +132,13 @@ std::vector<Timestamp> CollectBoundaries(const AttributeHistory& q,
 /// Invokes `on_violation(interval)` for every maximal violated interval;
 /// stops early if the callback returns false.
 template <typename Fn>
-void SweepViolations(const AttributeHistory& q, const AttributeHistory& a,
+void SweepViolations(const PreparedQuery& prepared, const AttributeHistory& a,
                      int64_t delta, const TimeDomain& domain, Fn&& on_violation) {
+  const AttributeHistory& q = prepared.history();
   const int64_t n = domain.num_timestamps();
   if (q.num_versions() == 0 || n == 0) return;
   const std::vector<Timestamp> boundaries = CollectBoundaries(q, a, delta, n);
-  DeltaWindow window(q, a, delta);
+  DeltaWindow window(prepared, a, delta);
   // Index of Q's version valid at the current boundary.
   int64_t q_version = -1;
   const auto& q_change_ts = q.change_timestamps();
@@ -178,6 +160,26 @@ void SweepViolations(const AttributeHistory& q, const AttributeHistory& a,
 
 }  // namespace
 
+PreparedQuery::PreparedQuery(const AttributeHistory& q) : q_(q) {
+  TIND_OBS_COUNTER_ADD("validate/prepared_queries", 1);
+  const auto& u = universe().values();
+  slots_.resize(q.num_versions());
+  for (size_t vi = 0; vi < q.num_versions(); ++vi) {
+    const ValueSet& version = q.versions()[vi];
+    // Each version is a sorted subset of the sorted universe, so one forward
+    // pass over the universe finds every value; a version much smaller than
+    // the universe binary-searches forward instead.
+    const bool sparse = version.size() * 8 < u.size();
+    slots_[vi].reserve(version.size());
+    auto it = u.begin();
+    for (const ValueId v : version.values()) {
+      it = sparse ? std::lower_bound(it, u.end(), v)
+                  : std::find(it, u.end(), v);
+      slots_[vi].push_back(static_cast<uint32_t>(it - u.begin()));
+    }
+  }
+}
+
 bool IsDeltaContained(const AttributeHistory& q, const AttributeHistory& a,
                       Timestamp t, int64_t delta, const TimeDomain& domain) {
   const ValueSet& q_values = q.VersionAt(t);
@@ -187,7 +189,7 @@ bool IsDeltaContained(const AttributeHistory& q, const AttributeHistory& a,
   return q_values.IsSubsetOf(a_window);
 }
 
-bool ValidateTind(const AttributeHistory& q, const AttributeHistory& a,
+bool ValidateTind(const PreparedQuery& q, const AttributeHistory& a,
                   const TindParams& params, const TimeDomain& domain) {
   TIND_OBS_COUNTER_ADD("validate/calls", 1);
   double violation = 0.0;
@@ -213,12 +215,17 @@ bool ValidateTind(const AttributeHistory& q, const AttributeHistory& a,
   return valid;
 }
 
+bool ValidateTind(const AttributeHistory& q, const AttributeHistory& a,
+                  const TindParams& params, const TimeDomain& domain) {
+  return ValidateTind(PreparedQuery(q), a, params, domain);
+}
+
 double ComputeViolationWeight(const AttributeHistory& q,
                               const AttributeHistory& a, int64_t delta,
                               const WeightFunction& weight,
                               const TimeDomain& domain) {
   double violation = 0.0;
-  SweepViolations(q, a, delta, domain, [&](const Interval& i) {
+  SweepViolations(PreparedQuery(q), a, delta, domain, [&](const Interval& i) {
     violation += weight.Sum(i);
     return true;
   });

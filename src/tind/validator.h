@@ -10,6 +10,14 @@
 /// change points of Q plus every A-change point shifted by ±δ; both
 /// histories are traversed with sliding windows so no version is visited
 /// twice.
+///
+/// The Q-side state of the sweep (Q's value universe and each Q version's
+/// values as slots into it) does not depend on A. A PreparedQuery holds it,
+/// so a query validated against many candidates prepares it once per query
+/// rather than once per candidate.
+
+#include <cstdint>
+#include <vector>
 
 #include "temporal/attribute_history.h"
 #include "temporal/time_domain.h"
@@ -22,12 +30,35 @@ namespace tind {
 /// integer-valued weights of the paper's default setting.
 inline constexpr double kViolationTolerance = 1e-9;
 
+/// \brief Immutable Q-side state of Algorithm 2 for one query history:
+/// every value of every version of Q resolved to its slot in Q's value
+/// universe (AllValues(), the union of its versions). Safe to share
+/// read-only across threads; the history must outlive it.
+class PreparedQuery {
+ public:
+  explicit PreparedQuery(const AttributeHistory& q);
+
+  const AttributeHistory& history() const { return q_; }
+  const ValueSet& universe() const { return q_.AllValues(); }
+
+  /// Universe slots of the values of Q's version `v` (by index), ascending.
+  const std::vector<uint32_t>& slots(size_t v) const { return slots_[v]; }
+
+ private:
+  const AttributeHistory& q_;
+  std::vector<std::vector<uint32_t>> slots_;
+};
+
 /// δ-containment (Definition 3.4): Q[t] ⊆ A[[t-δ, t+δ]].
 bool IsDeltaContained(const AttributeHistory& q, const AttributeHistory& a,
                       Timestamp t, int64_t delta, const TimeDomain& domain);
 
 /// Exact check of Q ⊆_{w,ε,δ} A using Algorithm 2, with early exit as soon
 /// as the accumulated violation weight exceeds ε.
+bool ValidateTind(const PreparedQuery& q, const AttributeHistory& a,
+                  const TindParams& params, const TimeDomain& domain);
+
+/// ValidateTind for a query validated once: prepares `q`, then validates.
 bool ValidateTind(const AttributeHistory& q, const AttributeHistory& a,
                   const TindParams& params, const TimeDomain& domain);
 

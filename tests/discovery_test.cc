@@ -268,6 +268,136 @@ TEST_F(DiscoveryTest, CheckpointWriteRetriesRideOutTransientFaults) {
 }
 #endif  // !TIND_FAULT_INJECTION_DISABLED
 
+/// A corpus whose first attributes are catch-all-like: many versions of
+/// large, mostly overlapping value sets. As queries they have each other as
+/// candidates and every validation scans a large universe, so the first
+/// query group carries most of the run's work — the shape that used to
+/// stall every other worker at a window barrier.
+class SlowHeadDiscoveryTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kDays = 120;
+  static constexpr AttributeId kCatchAlls = 12;
+  static constexpr AttributeId kAttributes = 150;
+
+  void SetUp() override {
+    Rng rng(29);
+    dataset_ = Dataset(TimeDomain(kDays), std::make_shared<ValueDictionary>());
+    for (AttributeId i = 0; i < kCatchAlls; ++i) {
+      AttributeHistoryBuilder b(i, {}, dataset_.domain());
+      for (Timestamp t = 0; t < kDays; t += 4) {
+        std::vector<ValueId> vals;
+        for (ValueId v = 0; v < 400; ++v) {
+          if (rng.Bernoulli(0.999)) vals.push_back(v);
+        }
+        ASSERT_TRUE(b.AddVersion(t, ValueSet::FromUnsorted(vals)).ok());
+      }
+      auto history = b.Finish();
+      ASSERT_TRUE(history.ok());
+      dataset_.Add(std::move(*history));
+    }
+    for (AttributeId i = kCatchAlls; i < kAttributes; ++i) {
+      dataset_.Add(
+          testutil::RandomHistory(dataset_.domain(), &rng, 40, i, 6, 6));
+    }
+    weight_ = std::make_unique<ConstantWeight>(kDays);
+    TindIndexOptions opts;
+    opts.bloom_bits = 512;
+    opts.num_hashes = 2;
+    opts.num_slices = 4;
+    opts.delta = 4;
+    opts.epsilon = 6.0;
+    opts.weight = weight_.get();
+    auto index = TindIndex::Build(dataset_, opts);
+    ASSERT_TRUE(index.ok());
+    index_ = std::move(*index);
+  }
+
+  TindParams Params() const { return TindParams{6.0, 2, weight_.get()}; }
+
+  Dataset dataset_;
+  std::unique_ptr<ConstantWeight> weight_;
+  std::unique_ptr<TindIndex> index_;
+};
+
+TEST_F(SlowHeadDiscoveryTest, EveryPoolWidthAndGroupSizeMatchesSequential) {
+  const AllPairsResult sequential =
+      DiscoverAllTinds(*index_, Params(), nullptr);
+  // The catch-alls include one another, so the head group is not trivial.
+  ASSERT_FALSE(sequential.pairs.empty());
+  ASSERT_LT(sequential.pairs.front().lhs, kCatchAlls);
+  for (const size_t width : {1, 2, 4}) {
+    ThreadPool pool(width);
+    for (const size_t batch_size : {1, 7, 64}) {
+      DiscoveryOptions options;
+      options.pool = &pool;
+      options.batch_size = batch_size;
+      auto result = DiscoverAllTinds(*index_, Params(), options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->pairs, sequential.pairs)
+          << "width=" << width << " batch_size=" << batch_size;
+      EXPECT_EQ(result->total_validations, sequential.total_validations)
+          << "width=" << width << " batch_size=" << batch_size;
+    }
+  }
+}
+
+#if !TIND_FAULT_INJECTION_DISABLED
+TEST_F(SlowHeadDiscoveryTest, PreemptionCheckpointHoldsExactlyThePrefix) {
+  const AllPairsResult sequential =
+      DiscoverAllTinds(*index_, Params(), nullptr);
+  std::vector<std::vector<AttributeId>> expected(kAttributes);
+  for (const TindPair& p : sequential.pairs) expected[p.lhs].push_back(p.rhs);
+
+  // Same fault seed with and without a pool: the preemption is drawn per
+  // query during the in-order replay, so both runs stop at the same query
+  // and leave the same checkpoint, however the groups were scheduled.
+  ThreadPool pool(4);
+  std::vector<DiscoveryCheckpoint> checkpoints;
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const std::string path = ::testing::TempDir() + "disc-slow-head-ckpt";
+    std::remove(path.c_str());
+    ASSERT_TRUE(
+        FaultInjector::Global().Configure("discovery/preempt=0.03", 3).ok());
+    DiscoveryOptions options;
+    options.pool = p;
+    options.batch_size = 7;
+    options.checkpoint_path = path;
+    options.checkpoint_interval = 5;
+    auto preempted = DiscoverAllTinds(*index_, Params(), options);
+    const uint64_t fired = FaultInjector::Global().fired("discovery/preempt");
+    FaultInjector::Global().Reset();
+    ASSERT_EQ(fired, 1u) << "seed never fired; pick another";
+    ASSERT_FALSE(preempted.ok());
+    ASSERT_TRUE(preempted.status().IsCancelled())
+        << preempted.status().ToString();
+
+    auto loaded = LoadDiscoveryCheckpoint(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const size_t stop = loaded->completed.size();
+    // Past the slow head group, short of the end.
+    EXPECT_GT(stop, 7u);
+    EXPECT_LT(stop, static_cast<size_t>(kAttributes));
+    EXPECT_NE(preempted.status().ToString().find(
+                  "after " + std::to_string(stop) + "/"),
+              std::string::npos)
+        << preempted.status().ToString();
+    for (size_t i = 0; i < stop; ++i) {
+      const auto& [q, rhs] = loaded->completed[i];
+      ASSERT_EQ(q, i) << "checkpoint is not the prefix before the stop";
+      EXPECT_EQ(rhs, expected[q]) << "query " << q;
+    }
+    checkpoints.push_back(std::move(*loaded));
+
+    auto resumed = DiscoverAllTinds(*index_, Params(), options);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_EQ(resumed->resumed_queries, stop);
+    EXPECT_EQ(resumed->pairs, sequential.pairs);
+    std::remove(path.c_str());
+  }
+  EXPECT_EQ(checkpoints[0].completed, checkpoints[1].completed);
+}
+#endif  // !TIND_FAULT_INJECTION_DISABLED
+
 TEST(CheckpointTest, SaveLoadRoundTrip) {
   DiscoveryCheckpoint checkpoint;
   checkpoint.num_queries = 10;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace tind {
@@ -86,6 +88,31 @@ TEST(ThreadPoolTest, ParallelForActuallyUsesWorkers) {
   EXPECT_GE(ids.size(), 2u);
 }
 
+TEST(ThreadPoolTest, ParallelForSlowIndexDoesNotHoldBackLaterIndices) {
+  // Index 0 blocks until every other index has finished (bounded, so a
+  // regression fails instead of hanging). Indices are claimed one at a
+  // time, so the other workers run all of them meanwhile.
+  ThreadPool pool(4);
+  const size_t n = 64;
+  std::atomic<size_t> others_done{0};
+  bool all_others_finished = false;
+  pool.ParallelFor(0, n, [&](size_t i) {
+    if (i != 0) {
+      others_done.fetch_add(1);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (others_done.load() < n - 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    all_others_finished = others_done.load() == n - 1;
+  });
+  EXPECT_TRUE(all_others_finished);
+  EXPECT_EQ(others_done.load(), n - 1);
+}
+
 TEST(ThreadPoolTest, DestructorDrainsQueue) {
   std::atomic<int> done{0};
   {
@@ -131,8 +158,8 @@ TEST(ThreadPoolTest, ParallelForStopsEarlyAfterException) {
                                   if (i == 0) throw std::runtime_error("x");
                                 }),
                std::runtime_error);
-  // Index 0 is in the calling thread's first chunk, so the abort flag is up
-  // long before 100k indices complete.
+  // Index 0 is the first index claimed, so the abort flag is up long before
+  // 100k indices complete.
   EXPECT_LT(calls.load(), 100000);
 }
 

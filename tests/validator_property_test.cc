@@ -138,5 +138,112 @@ TEST(ValidatorSubsetTest, TrueSubsetHistoriesAlwaysValid) {
   }
 }
 
+/// A candidate history built around Q's value universe `u`, so both of the
+/// window's lopsided intersection branches run: each version is huge (most
+/// of u plus over 8|u| values Q never holds), tiny (under |u|/8 values of
+/// u), empty, or a plain random subset of u.
+AttributeHistory LopsidedCandidate(const TimeDomain& domain, Rng* rng,
+                                   const ValueSet& u, AttributeId id) {
+  const int64_t n = domain.num_timestamps();
+  std::vector<Timestamp> ts;
+  for (size_t i = 0, k = 1 + rng->Uniform(6); i < k; ++i) {
+    ts.push_back(static_cast<Timestamp>(rng->Uniform(n)));
+  }
+  std::sort(ts.begin(), ts.end());
+  ts.erase(std::unique(ts.begin(), ts.end()), ts.end());
+  AttributeHistoryBuilder b(id, {}, domain);
+  for (const Timestamp t : ts) {
+    std::vector<ValueId> vals;
+    switch (rng->Uniform(4)) {
+      case 0:  // Huge: a catch-all holding most of u.
+        for (const ValueId v : u.values()) {
+          if (rng->Bernoulli(0.9)) vals.push_back(v);
+        }
+        for (size_t k = 0; k < 9 * u.size(); ++k) {
+          vals.push_back(static_cast<ValueId>(100000 + k));
+        }
+        break;
+      case 1:  // Tiny: fewer than |u| / 8 values of u.
+        for (size_t k = 0, c = rng->Uniform(u.size() / 8); k < c; ++k) {
+          vals.push_back(u.values()[rng->Uniform(u.size())]);
+        }
+        break;
+      case 2:  // Empty.
+        break;
+      default:  // Comparable to u.
+        for (const ValueId v : u.values()) {
+          if (rng->Bernoulli(0.7)) vals.push_back(v);
+        }
+        vals.push_back(static_cast<ValueId>(100000 + rng->Uniform(50)));
+    }
+    (void)b.AddVersion(t, ValueSet::FromUnsorted(std::move(vals)));
+  }
+  if (b.num_versions() == 0) (void)b.AddVersion(0, u);
+  auto result = b.Finish();
+  if (!result.ok()) std::abort();
+  return std::move(result).ValueOrDie();
+}
+
+/// One PreparedQuery serves many candidates: its verdicts must equal a
+/// fresh per-candidate ValidateTind and the naive oracle over the whole
+/// (ε, δ, w) grid, including candidates whose versions are far larger or
+/// far smaller than Q's universe, or empty.
+TEST(ValidatorPreparedQueryTest, ReuseAcrossCandidatesMatchesOracle) {
+  const int64_t n = 60;
+  const TimeDomain domain(n);
+  const ConstantWeight constant(n);
+  const ExponentialDecayWeight decay(n, 0.93);
+  const LinearDecayWeight linear(n);
+  const WeightFunction* weights[] = {&constant, &decay, &linear};
+  for (const int seed : {1, 2, 3}) {
+    Rng rng(static_cast<uint64_t>(seed) * 104729 + 7);
+    AttributeHistory q = testutil::RandomHistory(domain, &rng, 80, 0, 8, 30);
+    while (q.AllValues().size() < 24) {
+      q = testutil::RandomHistory(domain, &rng, 80, 0, 8, 30);
+    }
+    const size_t u = q.AllValues().size();
+    const PreparedQuery prepared(q);
+    size_t huge = 0, tiny = 0, empty = 0, accepted = 0, rejected = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+      const AttributeHistory a = LopsidedCandidate(
+          domain, &rng, q.AllValues(), static_cast<AttributeId>(trial + 1));
+      for (const ValueSet& v : a.versions()) {
+        if (v.empty()) {
+          ++empty;
+        } else if (u * 8 < v.size()) {
+          ++huge;
+        } else if (v.size() * 8 < u) {
+          ++tiny;
+        }
+      }
+      for (const WeightFunction* w : weights) {
+        for (const int64_t delta : {0, 1, 3, 7, 25}) {
+          for (const double eps : {0.0, 1.0, 4.0}) {
+            const TindParams params{eps, delta, w};
+            const bool reused = ValidateTind(prepared, a, params, domain);
+            ++(reused ? accepted : rejected);
+            ASSERT_EQ(reused, ValidateTind(q, a, params, domain))
+                << "seed=" << seed << " trial=" << trial << " delta=" << delta
+                << " eps=" << eps << " w=" << w->ToString();
+            ASSERT_EQ(reused, ValidateTindNaive(q, a, params, domain))
+                << "seed=" << seed << " trial=" << trial << " delta=" << delta
+                << " eps=" << eps << " w=" << w->ToString();
+          }
+          ASSERT_NEAR(ComputeViolationWeight(q, a, delta, *w, domain),
+                      ComputeViolationWeightNaive(q, a, delta, *w, domain),
+                      1e-7)
+              << "seed=" << seed << " trial=" << trial << " delta=" << delta;
+        }
+      }
+    }
+    // Every shape of candidate version, and both verdicts, occurred.
+    EXPECT_GT(huge, 0u) << "seed=" << seed;
+    EXPECT_GT(tiny, 0u) << "seed=" << seed;
+    EXPECT_GT(empty, 0u) << "seed=" << seed;
+    EXPECT_GT(accepted, 0u) << "seed=" << seed;
+    EXPECT_GT(rejected, 0u) << "seed=" << seed;
+  }
+}
+
 }  // namespace
 }  // namespace tind
