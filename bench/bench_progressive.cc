@@ -1,5 +1,5 @@
 /// bench_progressive: anytime-query latency — time-to-first-result vs
-/// time-to-exact through the staged SearchCursor, plus the cost-model
+/// time-to-exact through the staged SearchCursor, plus the fixed-rule
 /// planner's effect on exact latency.
 ///
 ///   bench_progressive --attributes=8000 --queries=400
@@ -11,9 +11,9 @@
 ///   * stage-1    — SearchCursor stopped after the M_T/M_R probe: the
 ///                  microseconds-latency sound superset a streaming client
 ///                  acts on first (TTFR);
-///   * planner    — SearchCursor with the CostModelPlanner choosing per
-///                  query which prune stages to skip, run to the exact
-///                  answer.
+///   * planner    — SearchCursor with the fixed-rule CostModelPlanner
+///                  choosing per query which prune stages to skip, run to
+///                  the exact answer.
 ///
 /// The bench asserts (and records in the JSON) the two contracts CI gates
 /// on: *parity* — staged and planner-driven execution return bit-identical
@@ -75,10 +75,9 @@ int RunProgressive(const Flags& flags) {
       dataset, num_queries, static_cast<uint64_t>(flags.GetInt("seed", 7)));
   const double reverse_fraction = flags.GetDouble("reverse_frac", 0.25);
 
-  CostModelPlanner planner(index);
+  const CostModelPlanner planner(index);
 
-  // Warm-up: run every query once unmeasured — page in the matrices and
-  // feed the planner's EWMAs real observed stage costs before measuring.
+  // Warm-up: run every query once unmeasured to page in the matrices.
   for (size_t i = 0; i < queries.size(); ++i) {
     const bool reverse =
         static_cast<double>(i % 100) < reverse_fraction * 100.0;
@@ -86,7 +85,6 @@ int RunProgressive(const Flags& flags) {
     warm.reverse = reverse;
     SearchCursor cursor(index, dataset.attribute(queries[i]), params, warm);
     cursor.RunToCompletion();
-    planner.Observe(cursor.stats());
   }
 
   std::vector<double> exact_ms;
@@ -131,7 +129,6 @@ int RunProgressive(const Flags& flags) {
         planned_cursor.plan().skip_recheck) {
       ++planner_skips;
     }
-    planner.Observe(planned_cursor.stats());
   }
 
   const obs::LatencySummary exact_sum =

@@ -51,7 +51,7 @@ struct ClientOptions {
 struct QueryReply {
   std::vector<AttributeId> ids;   ///< Search / reverse-search answers.
   std::vector<TindPair> pairs;    ///< Discovery-window answers.
-  bool degraded = false;          ///< Superset answer (stages 3–4 skipped).
+  bool degraded = false;          ///< Sound superset, not the exact answer.
 };
 
 /// One streaming query's observable timeline. SearchStream fills this in

@@ -24,6 +24,16 @@ using Clock = std::chrono::steady_clock;
 /// Poll tick for loops that must notice the stop flag while blocked on I/O.
 constexpr int kIdlePollMs = 100;
 
+Status IngestDisabled() {
+  return Status::FailedPrecondition(
+      "live ingest disabled (start with allow_ingest)");
+}
+
+double MillisSince(Clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+      .count();
+}
+
 }  // namespace
 
 /// Shared connection state: the fd lives as long as any queued request
@@ -66,7 +76,8 @@ struct TindServer::PendingRequest {
   uint64_t request_id = 0;
   MessageType type = MessageType::kSearch;
   SearchRequest request;
-  bool stream_reverse = false;  ///< kSearchStream only: search direction.
+  /// Search direction: kReverseSearch, or a kSearchStream that asked for it.
+  bool reverse = false;
   CancellationToken cancel;
   Clock::time_point admitted;
   Clock::time_point deadline;
@@ -99,6 +110,8 @@ Status TindServer::Start() {
   latency_ms_ =
       obs::MetricsRegistry::Global().GetHistogram("serve/latency_ms");
   ttfr_ms_ = obs::MetricsRegistry::Global().GetHistogram("serve/ttfr_ms");
+  protocol_errors_metric_ =
+      obs::MetricsRegistry::Global().GetCounter("serve/protocol_errors");
   planner_ = std::make_unique<CostModelPlanner>(index_);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   batcher_thread_ = std::thread([this] { BatcherLoop(); });
@@ -168,10 +181,7 @@ uint64_t TindServer::epoch_sequence() const { return CurrentEpoch()->sequence; }
 
 Result<TindServer::IngestResult> TindServer::ApplyDelta(
     const RevisionDelta& delta) {
-  if (!options_.allow_ingest) {
-    return Status::FailedPrecondition(
-        "live ingest disabled (start with allow_ingest)");
-  }
+  if (!options_.allow_ingest) return IngestDisabled();
   // One applier at a time: each delta patches the *latest* epoch, so the
   // sequence is linear even with concurrent ingest connections.
   std::lock_guard<std::mutex> ingest_lock(ingest_mutex_);
@@ -240,8 +250,7 @@ void TindServer::ReaderLoop(std::shared_ptr<Connection> conn) {
       if (frame.status().IsInvalidArgument()) {
         // The bytes are not a frame — after this the stream offset is
         // unrecoverable, so answer once and drop the connection.
-        protocol_errors_.fetch_add(1);
-        TIND_OBS_COUNTER_ADD("serve/protocol_errors", 1);
+        CountProtocolError();
         SendToConnection(conn, MessageType::kError, 0,
                          EncodeErrorResponse(frame.status()));
       } else if (frame.status().message().find("stalled") !=
@@ -273,16 +282,22 @@ void TindServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
       // delta is a control-plane operation with its own serialization
       // (ingest_mutex_), and queueing it behind queries would let a full
       // admission queue starve index maintenance.
-      if (draining_.load()) {
+      // A server without ingest never decodes a delta: the payload is the
+      // largest and most complex a client can send.
+      Status refused;
+      if (!options_.allow_ingest) {
+        refused = IngestDisabled();
+      } else if (draining_.load()) {
+        refused = Status::ResourceExhausted("server draining");
+      }
+      if (!refused.ok()) {
         SendToConnection(conn, MessageType::kError, frame.header.request_id,
-                         EncodeErrorResponse(
-                             Status::ResourceExhausted("server draining")));
+                         EncodeErrorResponse(refused));
         return;
       }
       auto delta = DecodeApplyDeltaRequest(frame.payload);
       if (!delta.ok()) {
-        protocol_errors_.fetch_add(1);
-        TIND_OBS_COUNTER_ADD("serve/protocol_errors", 1);
+        CountProtocolError();
         SendToConnection(conn, MessageType::kError, frame.header.request_id,
                          EncodeErrorResponse(delta.status()));
         return;
@@ -317,7 +332,7 @@ void TindServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
       return;
     }
     default:
-      protocol_errors_.fetch_add(1);
+      CountProtocolError();
       SendToConnection(conn, MessageType::kError, frame.header.request_id,
                        EncodeErrorResponse(Status::InvalidArgument(
                            "unexpected message type " +
@@ -333,24 +348,20 @@ void TindServer::AdmitRequest(const std::shared_ptr<Connection>& conn,
     SendToConnection(conn, MessageType::kError, frame.header.request_id,
                      EncodeErrorResponse(status));
   };
+  const auto reject_malformed = [&](const Status& status) {
+    CountProtocolError();
+    reject(status);
+  };
   SearchRequest request;
-  bool stream_reverse = false;
+  bool reverse = frame.header.type == MessageType::kReverseSearch;
   if (frame.header.type == MessageType::kSearchStream) {
     auto decoded = DecodeSearchStreamRequest(frame.payload);
-    if (!decoded.ok()) {
-      protocol_errors_.fetch_add(1);
-      reject(decoded.status());
-      return;
-    }
+    if (!decoded.ok()) return reject_malformed(decoded.status());
     request = decoded->base;
-    stream_reverse = decoded->reverse;
+    reverse = decoded->reverse;
   } else {
     auto decoded = DecodeSearchRequest(frame.payload);
-    if (!decoded.ok()) {
-      protocol_errors_.fetch_add(1);
-      reject(decoded.status());
-      return;
-    }
+    if (!decoded.ok()) return reject_malformed(decoded.status());
     request = *decoded;
   }
   // Validated against the current epoch; the batch may execute against a
@@ -362,21 +373,17 @@ void TindServer::AdmitRequest(const std::shared_ptr<Connection>& conn,
     if (request.window_end <= request.attribute ||
         request.window_end > n ||
         request.window_end - request.attribute > kMaxDiscoveryWindow) {
-      protocol_errors_.fetch_add(1);
-      reject(Status::InvalidArgument(
+      return reject_malformed(Status::InvalidArgument(
           "invalid discovery window [" + std::to_string(request.attribute) +
           ", " + std::to_string(request.window_end) + ") over " +
           std::to_string(n) + " attributes (max width " +
           std::to_string(kMaxDiscoveryWindow) + ")"));
-      return;
     }
     num_queries = request.window_end - request.attribute;
   } else if (request.attribute >= n) {
-    protocol_errors_.fetch_add(1);
-    reject(Status::InvalidArgument(
+    return reject_malformed(Status::InvalidArgument(
         "attribute " + std::to_string(request.attribute) +
         " out of range (dataset has " + std::to_string(n) + ")"));
-    return;
   }
 
   // ---- Admission ladder -------------------------------------------------
@@ -404,7 +411,7 @@ void TindServer::AdmitRequest(const std::shared_ptr<Connection>& conn,
   pending.request_id = frame.header.request_id;
   pending.type = frame.header.type;
   pending.request = request;
-  pending.stream_reverse = stream_reverse;
+  pending.reverse = reverse;
   pending.admitted = Clock::now();
   pending.deadline = pending.admitted + std::chrono::milliseconds(budget_ms);
   bool queue_full = false;
@@ -479,7 +486,7 @@ void TindServer::BatcherLoop() {
         continue;
       }
       // Group commit: linger briefly so concurrent arrivals share one
-      // BatchSearch window (the Bloom matrices stream once per group).
+      // dispatch window (the Bloom matrices stream once per group).
       if (queue_.size() < options_.batch_window &&
           options_.batch_linger_us > 0 && !stop_.load()) {
         queue_cv_.wait_for(
@@ -507,203 +514,147 @@ void TindServer::ProcessBatch(std::vector<PendingRequest>&& batch,
   // against the same immutable index, even if an ingest swaps the epoch
   // mid-execution (the shared_ptr keeps this view alive until we finish).
   const std::shared_ptr<const IndexEpoch> epoch = CurrentEpoch();
-  const TindIndex& index = *epoch->index;
   const bool degrade_window = depth_at_pop >= options_.degrade_watermark;
   TIND_OBS_OBSERVE_BOUNDS("serve/batch_size", batch.size(),
                           obs::ExponentialBuckets(1, 2, 12));
 
-  // Partition the window into execution groups: requests sharing
-  // (direction, ε, δ, degraded) run through one BatchSearch call.
-  struct Group {
-    std::vector<size_t> members;  ///< Indices into `batch`.
-    bool reverse = false;
-    bool superset = false;
-    double epsilon = 0;
-    int64_t delta = 0;
-  };
-  std::map<std::tuple<bool, bool, uint64_t, int64_t>, Group> groups;
+  // Partition the window by (direction, ε, δ): searches, reverse searches,
+  // discovery windows and streams of one key step through one cursor.
+  std::map<std::tuple<bool, uint64_t, int64_t>, std::vector<PendingRequest*>>
+      groups;
   const Clock::time_point now = Clock::now();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    PendingRequest& request = batch[i];
+  for (PendingRequest& request : batch) {
     if (now >= request.deadline || request.cancel.cancelled()) {
       RespondError(request,
                    Status::DeadlineExceeded("deadline expired in queue"));
       continue;
     }
-    if (request.type == MessageType::kSearchStream) {
-      // Streaming requests run individually through the staged cursor (the
-      // partial frame must go out mid-funnel, which a shared batch scan
-      // cannot interleave).
-      ProcessStream(request, index, degrade_window);
-      continue;
-    }
-    const bool reverse = request.type == MessageType::kReverseSearch;
-    const bool superset = degrade_window && request.request.allow_degraded;
     uint64_t eps_bits = 0;
     std::memcpy(&eps_bits, &request.request.epsilon, sizeof(eps_bits));
-    Group& group = groups[{reverse, superset, eps_bits,
-                           request.request.delta}];
-    group.reverse = reverse;
-    group.superset = superset;
-    group.epsilon = request.request.epsilon;
-    group.delta = request.request.delta;
-    group.members.push_back(i);
+    groups[{request.reverse, eps_bits, request.request.delta}].push_back(
+        &request);
   }
-
-  const Dataset& dataset = index.dataset();
-  for (auto& [key, group] : groups) {
-    // Expand requests into index queries: one per search, window-width many
-    // per discovery request; every expanded query shares its request's
-    // cancellation token.
-    std::vector<const AttributeHistory*> queries;
-    std::vector<const CancellationToken*> cancels;
-    std::vector<std::pair<size_t, size_t>> spans;  // Per member: [lo, hi).
-    for (const size_t i : group.members) {
-      const PendingRequest& request = batch[i];
-      const size_t lo = queries.size();
-      if (request.type == MessageType::kDiscoveryWindow) {
-        for (AttributeId a = request.request.attribute;
-             a < request.request.window_end; ++a) {
-          queries.push_back(&dataset.attribute(a));
-          cancels.push_back(&request.cancel);
-        }
-      } else {
-        queries.push_back(&dataset.attribute(request.request.attribute));
-        cancels.push_back(&request.cancel);
-      }
-      spans.emplace_back(lo, queries.size());
-    }
-
-    TindParams params{group.epsilon, group.delta, params_.weight};
-    BatchExecOptions exec;
-    exec.cancels = cancels.data();
-    exec.superset_only = group.superset;
-    std::vector<QueryStats> stats;
-    const auto results =
-        group.reverse
-            ? index.BatchReverseSearch(queries, params, exec, &stats)
-            : index.BatchSearch(queries, params, exec, &stats);
-
-    for (size_t m = 0; m < group.members.size(); ++m) {
-      PendingRequest& request = batch[group.members[m]];
-      const auto [lo, hi] = spans[m];
-      bool cancelled = false;
-      bool was_degraded = false;
-      for (size_t q = lo; q < hi; ++q) {
-        cancelled = cancelled || stats[q].cancelled;
-        was_degraded = was_degraded || stats[q].degraded;
-      }
-      if (cancelled) {
-        RespondError(request, Status::DeadlineExceeded(
-                                  "deadline exceeded during execution"));
-        continue;
-      }
-      std::string payload;
-      MessageType type;
-      if (request.type == MessageType::kDiscoveryWindow) {
-        DiscoveryResponse response;
-        response.degraded = was_degraded;
-        for (size_t q = lo; q < hi; ++q) {
-          const AttributeId lhs =
-              request.request.attribute + static_cast<AttributeId>(q - lo);
-          for (const AttributeId rhs : results[q]) {
-            response.pairs.push_back(TindPair{lhs, rhs});
-          }
-        }
-        payload = EncodeDiscoveryResponse(response);
-        type = MessageType::kDiscoveryResult;
-      } else {
-        SearchResponse response;
-        response.degraded = was_degraded;
-        response.ids = results[lo];
-        payload = EncodeSearchResponse(response);
-        type = MessageType::kSearchResult;
-      }
-      if (was_degraded) {
-        degraded_.fetch_add(1);
-        TIND_OBS_COUNTER_ADD("serve/degraded", 1);
-      }
-      completed_.fetch_add(1);
-      latency_ms_->Observe(
-          std::chrono::duration<double, std::milli>(Clock::now() -
-                                                    request.admitted)
-              .count());
-      SendToConnection(request.conn, type, request.request_id, payload);
-      FinishRequest(request);
-    }
+  for (auto& [key, requests] : groups) {
+    RunGroup(requests, *epoch->index, degrade_window);
   }
 }
 
-void TindServer::ProcessStream(PendingRequest& request, const TindIndex& index,
-                               bool degrade_window) {
+void TindServer::RunGroup(const std::vector<PendingRequest*>& requests,
+                          const TindIndex& index, bool degrade_window) {
   const Dataset& dataset = index.dataset();
-  const TindParams params{request.request.epsilon, request.request.delta,
+  const PendingRequest& first = *requests.front();
+  const TindParams params{first.request.epsilon, first.request.delta,
                           params_.weight};
+  // Expand requests into cursor members: one per search or stream,
+  // window-width many per discovery request, each with its request's
+  // cancellation token. Request r owns members [begin[r], begin[r + 1]).
+  std::vector<SearchCursor::Member> members;
+  std::vector<size_t> begin;
+  for (const PendingRequest* request : requests) {
+    begin.push_back(members.size());
+    const SearchRequest& r = request->request;
+    const AttributeId end = request->type == MessageType::kDiscoveryWindow
+                                ? r.window_end
+                                : r.attribute + 1;
+    for (AttributeId a = r.attribute; a < end; ++a) {
+      members.push_back({&dataset.attribute(a), &request->cancel, {}});
+    }
+  }
+  begin.push_back(members.size());
   SearchCursor::Options cursor_options;
-  cursor_options.reverse = request.stream_reverse;
+  cursor_options.reverse = first.reverse;
   cursor_options.planner = planner_.get();
-  cursor_options.cancel = &request.cancel;
-  SearchCursor cursor(index, dataset.attribute(request.request.attribute),
-                      params, cursor_options);
+  SearchCursor cursor(index, members, params, cursor_options);
 
-  // Stage 1 (the microseconds stage), then the partial frame: a sound
-  // superset the client can act on while the exact funnel continues.
+  // Stage 1 (the microseconds stage), then a partial frame per stream: a
+  // sound superset its client can act on while the exact funnel continues.
+  // A member abandoned here never ran its probe and has no stage to answer
+  // from.
   cursor.Step();
-  SearchPartial partial;
-  partial.stage = static_cast<uint8_t>(SearchStage::kProbe);
-  partial.ids = cursor.Superset();
-  SendToConnection(request.conn, MessageType::kSearchPartial,
-                   request.request_id, EncodeSearchPartial(partial));
-  ttfr_ms_->Observe(std::chrono::duration<double, std::milli>(Clock::now() -
-                                                              request.admitted)
-                        .count());
-  if (options_.stream_pace_ms > 0) {
+  std::vector<char> probed(members.size());
+  for (size_t b = 0; b < members.size(); ++b) probed[b] = !cursor.cancelled(b);
+  bool streamed = false;
+  for (size_t r = 0; r < requests.size(); ++r) {
+    PendingRequest& request = *requests[r];
+    if (request.type != MessageType::kSearchStream || !probed[begin[r]]) {
+      continue;
+    }
+    SearchPartial partial;
+    partial.stage = static_cast<uint8_t>(SearchStage::kProbe);
+    partial.ids = cursor.Superset(begin[r]);
+    SendToConnection(request.conn, MessageType::kSearchPartial,
+                     request.request_id, EncodeSearchPartial(partial));
+    ttfr_ms_->Observe(MillisSince(request.admitted));
+    streamed = true;
+  }
+  if (streamed && options_.stream_pace_ms > 0) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(options_.stream_pace_ms));
   }
 
-  const auto respond_final = [&](bool degraded,
-                                 std::vector<AttributeId> ids) {
-    SearchResponse response;
-    response.degraded = degraded;
-    response.ids = std::move(ids);
+  // Stage 2, then the brown-out: in an overloaded window, consenting
+  // requests stop here and answer their post-slice superset.
+  cursor.Step();
+  for (size_t r = 0; r < requests.size(); ++r) {
+    if (!degrade_window || !requests[r]->request.allow_degraded) continue;
+    for (size_t b = begin[r]; b < begin[r + 1]; ++b) cursor.Abandon(b);
+  }
+  while (!cursor.done()) cursor.Step();
+
+  // One rule for every kind: an abandoned member answers its best-stage
+  // superset (degraded) when its request consented and every member of the
+  // request ran its probe; otherwise the request missed its deadline.
+  for (size_t r = 0; r < requests.size(); ++r) {
+    PendingRequest& request = *requests[r];
+    bool degraded = false;
+    bool all_probed = true;
+    for (size_t b = begin[r]; b < begin[r + 1]; ++b) {
+      degraded = degraded || cursor.cancelled(b);
+      all_probed = all_probed && probed[b];
+    }
+    if (degraded && !(request.request.allow_degraded && all_probed)) {
+      RespondError(request, Status::DeadlineExceeded(
+                                "deadline exceeded during execution"));
+      continue;
+    }
+    const auto answer = [&](size_t b) {
+      return cursor.cancelled(b) ? cursor.Superset(b) : cursor.results(b);
+    };
+    std::string payload;
+    MessageType type;
+    if (request.type == MessageType::kDiscoveryWindow) {
+      DiscoveryResponse response;
+      response.degraded = degraded;
+      for (size_t b = begin[r]; b < begin[r + 1]; ++b) {
+        const AttributeId lhs =
+            request.request.attribute + static_cast<AttributeId>(b - begin[r]);
+        for (const AttributeId rhs : answer(b)) {
+          response.pairs.push_back(TindPair{lhs, rhs});
+        }
+      }
+      payload = EncodeDiscoveryResponse(response);
+      type = MessageType::kDiscoveryResult;
+    } else {
+      SearchResponse response;
+      response.degraded = degraded;
+      response.ids = answer(begin[r]);
+      payload = EncodeSearchResponse(response);
+      type = MessageType::kSearchResult;
+    }
     if (degraded) {
       degraded_.fetch_add(1);
       TIND_OBS_COUNTER_ADD("serve/degraded", 1);
     }
     completed_.fetch_add(1);
-    latency_ms_->Observe(std::chrono::duration<double, std::milli>(
-                             Clock::now() - request.admitted)
-                             .count());
-    SendToConnection(request.conn, MessageType::kSearchResult,
-                     request.request_id, EncodeSearchResponse(response));
+    latency_ms_->Observe(MillisSince(request.admitted));
+    SendToConnection(request.conn, type, request.request_id, payload);
     FinishRequest(request);
-  };
-
-  // Under overload, a consenting stream answers with its stage-1 Bloom
-  // superset and skips stages 2–4. (A degraded batch request goes one
-  // stage further: it runs slice pruning and stops before the recheck.)
-  if (degrade_window && request.request.allow_degraded) {
-    respond_final(/*degraded=*/true, cursor.Superset());
-    return;
   }
+}
 
-  while (!cursor.done()) cursor.Step();
-  if (!cursor.cancelled()) planner_->Observe(cursor.stats());
-
-  if (cursor.cancelled()) {
-    if (request.request.allow_degraded) {
-      // Deadline fired mid-funnel: degrade to the best completed stage's
-      // superset instead of shedding — the client consented and already
-      // holds the stage-1 partial, so ship the tightest sound answer.
-      respond_final(/*degraded=*/true, cursor.Superset());
-    } else {
-      RespondError(request, Status::DeadlineExceeded(
-                                "deadline exceeded during execution"));
-    }
-    return;
-  }
-  respond_final(/*degraded=*/false, cursor.results());
+void TindServer::CountProtocolError() {
+  protocol_errors_.fetch_add(1);
+  protocol_errors_metric_->Add(1);
 }
 
 void TindServer::RespondError(PendingRequest& request, const Status& status) {

@@ -6,19 +6,27 @@
 /// (or mmap-loaded) TindIndex. One listener thread accepts loopback TCP
 /// connections; one reader thread per connection parses wire.h frames; a
 /// batcher thread drains the bounded admission queue in group-commit
-/// windows and answers them through TindIndex::BatchSearch; a deadline
-/// watcher cancels requests whose budget elapses mid-funnel (via
-/// BatchExecOptions cancellation tokens).
+/// windows and steps every request of one (direction, ε, δ) — searches,
+/// discovery windows and streams alike — through one SearchCursor
+/// (tind/progressive.h), with the fixed-rule planner (tind/planner.h)
+/// choosing each member's stages after its probe; a deadline watcher
+/// cancels requests whose budget elapses mid-funnel through their cursor
+/// members' cancellation tokens.
 ///
 /// Overload ladder (in admission order):
 ///  1. accept + enqueue (normal operation);
 ///  2. queue depth at dispatch >= degrade_watermark → requests that opted
-///     in (`allow_degraded`) get a Bloom-superset answer with the degraded
-///     flag set (stages 3–4 of the funnel are skipped);
+///     in (`allow_degraded`) stop after the slice stage and get that sound
+///     superset with the degraded flag set (stages 3–4 are skipped);
 ///  3. queue full, memory budget exhausted, or draining → the request is
 ///     shed immediately with a typed error (ResourceExhausted for queue /
 ///     drain, OutOfMemory for the budget) — never silently dropped, never
 ///     queued past the bound.
+///
+/// A deadline that fires mid-funnel answers a consenting request with its
+/// best completed stage's superset (degraded), whatever the request kind,
+/// provided every one of its queries ran the probe; any other cancelled
+/// request gets DeadlineExceeded.
 ///
 /// Shutdown() drains: new requests are rejected, in-flight ones finish
 /// (bounded by their deadlines), then every thread is joined. Safe to call
@@ -44,6 +52,7 @@
 #include "tind/update.h"
 
 namespace tind::obs {
+class Counter;
 class Histogram;
 }  // namespace tind::obs
 
@@ -70,7 +79,7 @@ struct ServerOptions {
   /// Group-commit: how long the batcher lingers for more requests before
   /// dispatching a smaller window.
   uint32_t batch_linger_us = 500;
-  size_t batch_window = 64;  ///< Max requests per BatchSearch dispatch.
+  size_t batch_window = 64;  ///< Max requests per dispatch window.
   size_t max_connections = 64;
   /// Optional admission budget (not owned). Each admitted request reserves
   /// its worst-case response bytes; reservation failure sheds the request
@@ -80,7 +89,7 @@ struct ServerOptions {
   /// (worst-case id list) at Start().
   size_t request_cost_bytes = 0;
   /// Live ingest: when false (the default), kApplyDelta frames are rejected
-  /// with FailedPrecondition. Enable only for servers that own their index
+  /// with FailedPrecondition before their payload is decoded. Enable only for servers that own their index
   /// lifetime (tind_serve --ingest).
   bool allow_ingest = false;
   /// Test/chaos hook: minimum gap between a streaming request's partial
@@ -176,12 +185,13 @@ class TindServer {
   void AdmitRequest(const std::shared_ptr<Connection>& conn,
                     const Frame& frame);
   void ProcessBatch(std::vector<PendingRequest>&& batch, size_t depth_at_pop);
-  /// One streaming (kSearchStream) request: probe stage → kSearchPartial
-  /// frame → cost-model plan → remaining stages → exact kSearchResult. A
-  /// deadline firing mid-funnel degrades to the best completed stage's
-  /// superset when the request consented, instead of shedding.
-  void ProcessStream(PendingRequest& request, const TindIndex& index,
-                     bool degrade_window);
+  /// Answers requests sharing (direction, ε, δ) through one SearchCursor:
+  /// probe → a kSearchPartial frame per stream → slices → degraded-window
+  /// abandonment → remaining stages → one final frame per request.
+  void RunGroup(const std::vector<PendingRequest*>& requests,
+                const TindIndex& index, bool degrade_window);
+  /// Counts a malformed frame or payload in counters() and the registry.
+  void CountProtocolError();
   void RespondError(PendingRequest& request, const Status& status);
   void SendToConnection(const std::shared_ptr<Connection>& conn,
                         MessageType type, uint64_t request_id,
@@ -250,9 +260,12 @@ class TindServer {
   /// Time-to-first-result for streaming requests (admission → partial
   /// frame), recorded directly like latency_ms_.
   obs::Histogram* ttfr_ms_ = nullptr;
-  /// Cost model consulted per streaming query after its probe stage and fed
-  /// back each finished query's stats. Built once at Start() from the base
-  /// index; it copies what it needs, so epoch swaps never invalidate it.
+  /// "serve/protocol_errors", bumped directly (like latency_ms_) so the
+  /// registry always equals counters().protocol_errors.
+  obs::Counter* protocol_errors_metric_ = nullptr;
+  /// Plans every served query after its probe stage. Built once at Start()
+  /// from the base index; it copies what it needs, so epoch swaps never
+  /// invalidate it.
   std::unique_ptr<CostModelPlanner> planner_;
 };
 

@@ -93,6 +93,12 @@ class Reader {
     bytes_.remove_prefix(n);
     return true;
   }
+  /// Reads a u32 element count and rejects it unless `count` elements of
+  /// at least `min_bytes` each fit in what remains, so a caller may
+  /// reserve(count) without trusting the peer.
+  bool GetCount(size_t min_bytes, uint32_t* count) {
+    return GetU32(count) && *count <= bytes_.size() / min_bytes;
+  }
   bool empty() const { return bytes_.empty(); }
 
  private:
@@ -228,7 +234,7 @@ Result<SearchResponse> DecodeSearchResponse(std::string_view payload) {
   SearchResponse response;
   uint8_t flags = 0;
   uint32_t count = 0;
-  if (!reader.GetU8(&flags) || !reader.GetU32(&count)) {
+  if (!reader.GetU8(&flags) || !reader.GetCount(4, &count)) {
     return Malformed("search response");
   }
   response.degraded = (flags & 1) != 0;
@@ -286,7 +292,7 @@ Result<SearchPartial> DecodeSearchPartial(std::string_view payload) {
   Reader reader(payload);
   SearchPartial partial;
   uint32_t count = 0;
-  if (!reader.GetU8(&partial.stage) || !reader.GetU32(&count)) {
+  if (!reader.GetU8(&partial.stage) || !reader.GetCount(4, &count)) {
     return Malformed("search partial");
   }
   partial.ids.reserve(count);
@@ -315,7 +321,7 @@ Result<DiscoveryResponse> DecodeDiscoveryResponse(std::string_view payload) {
   DiscoveryResponse response;
   uint8_t flags = 0;
   uint32_t count = 0;
-  if (!reader.GetU8(&flags) || !reader.GetU32(&count)) {
+  if (!reader.GetU8(&flags) || !reader.GetCount(8, &count)) {
     return Malformed("discovery response");
   }
   response.degraded = (flags & 1) != 0;
@@ -355,7 +361,7 @@ void PutValueList(std::string* out, const std::vector<std::string>& values) {
 
 bool GetValueList(Reader* reader, std::vector<std::string>* out) {
   uint32_t count = 0;
-  if (!reader->GetU32(&count)) return false;
+  if (!reader->GetCount(4, &count)) return false;  // u32 length per value.
   out->clear();
   out->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -402,7 +408,10 @@ Result<RevisionDelta> DecodeApplyDeltaRequest(std::string_view payload) {
   Reader reader(payload);
   RevisionDelta delta;
   uint32_t num_ops = 0;
-  if (!reader.GetU32(&num_ops)) return Malformed("apply-delta request");
+  // The smallest op (retire) is 13 bytes: kind, attribute, timestamp.
+  if (!reader.GetCount(13, &num_ops)) {
+    return Malformed("apply-delta request");
+  }
   delta.ops.reserve(num_ops);
   for (uint32_t i = 0; i < num_ops; ++i) {
     uint8_t kind = 0;
@@ -424,7 +433,7 @@ Result<RevisionDelta> DecodeApplyDeltaRequest(std::string_view payload) {
         if (!GetString(&reader, &op.meta.page) ||
             !GetString(&reader, &op.meta.table) ||
             !GetString(&reader, &op.meta.column) ||
-            !reader.GetU32(&num_versions)) {
+            !reader.GetCount(12, &num_versions)) {  // Timestamp + count.
           return Malformed("apply-delta request");
         }
         op.versions.reserve(num_versions);

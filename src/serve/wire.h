@@ -110,7 +110,7 @@ std::string EncodeSearchRequest(const SearchRequest& request);
 Result<SearchRequest> DecodeSearchRequest(std::string_view payload);
 
 struct SearchResponse {
-  bool degraded = false;  ///< Superset answer: stages 3–4 were skipped.
+  bool degraded = false;  ///< A sound superset, not the exact answer.
   std::vector<AttributeId> ids;
 };
 std::string EncodeSearchResponse(const SearchResponse& response);

@@ -196,11 +196,6 @@ const std::vector<double>& GroupSizeBounds() {
   return bounds;
 }
 
-std::vector<AttributeId> ToAttributeIds(const BitVector& candidates) {
-  const std::vector<size_t> ids = candidates.ToIndexVector();
-  return std::vector<AttributeId>(ids.begin(), ids.end());
-}
-
 }  // namespace
 
 bool TindIndex::Group::PollCancel(size_t b) {
@@ -239,7 +234,19 @@ TindIndex::Group TindIndex::MakeGroup(const AttributeHistory* const* queries,
   g.params = params;
   g.forward = forward;
   if (cancels != nullptr) g.cancels.assign(cancels, cancels + n);
-  g.candidates.resize(n);
+  g.plans.resize(n);
+  g.candidates.reserve(n);
+  for (size_t b = 0; b < n; ++b) {
+    BitVector cand(dataset_->size(), /*fill=*/true);
+    // Exclude the query itself when it is an indexed attribute: reflexive
+    // tINDs hold trivially.
+    const AttributeHistory& query = *queries[b];
+    if (query.id() < dataset_->size() &&
+        &dataset_->attribute(query.id()) == &query) {
+      cand.Clear(query.id());
+    }
+    g.candidates.push_back(std::move(cand));
+  }
   g.required.resize(n);
   g.abandoned.assign(n, 0);
   g.stats.resize(n);
@@ -317,13 +324,6 @@ void TindIndex::ProbeStage(Group* g) const {
     if (g->abandoned[b]) continue;
     const AttributeHistory& query = *g->queries[b];
     BitVector& cand = g->candidates[b];
-    cand = BitVector(dataset_->size(), /*fill=*/true);
-    // Exclude the query itself when it is an indexed attribute: reflexive
-    // tINDs hold trivially.
-    if (query.id() < dataset_->size() &&
-        &dataset_->attribute(query.id()) == &query) {
-      cand.Clear(query.id());
-    }
     bool use_prefilter = reverse_usable;
     if (g->forward) {
       // Required values against M_T (sound for every ε, w, δ).
@@ -361,20 +361,20 @@ void TindIndex::ProbeStage(Group* g) const {
 
 void TindIndex::SliceStage(Group* g) const {
   // Time slices are only sound if the query's δ does not exceed the build δ
-  // (Section 4.4); the plan may additionally skip them as unprofitable.
+  // (Section 4.4); a member's plan may additionally skip them as
+  // unprofitable, and the prune loops pass over such members.
   const bool slices_usable = g->params.delta <= options_.delta;
-  const bool run = slices_usable && !g->plan.skip_slices;
   {
     TIND_OBS_SCOPED_TIMER("slice_prune");
-    if (run && g->forward) PruneForwardSlices(g);
-    if (run && !g->forward) PruneReverseSlices(g);
+    if (slices_usable && g->forward) PruneForwardSlices(g);
+    if (slices_usable && !g->forward) PruneReverseSlices(g);
   }
   for (size_t b = 0; b < g->size(); ++b) {
     if (g->abandoned[b]) continue;
     QueryStats& stats = g->stats[b];
-    stats.used_slices = run;
+    stats.used_slices = slices_usable && !g->plans[b].skip_slices;
     stats.after_slices = g->candidates[b].Count();
-    stats.plan_skipped_slices = slices_usable && g->plan.skip_slices;
+    stats.plan_skipped_slices = slices_usable && g->plans[b].skip_slices;
     if (g->forward) {
       TIND_OBS_COUNTER_ADD("search/candidates_after_slices",
                            stats.after_slices);
@@ -394,7 +394,8 @@ void TindIndex::RecheckStage(Group* g) const {
     BitVector& cand = g->candidates[b];
     // Exact required-values recheck to shed Bloom false positives before
     // the expensive temporal validation (Algorithm 1, line 16).
-    if (!g->plan.skip_recheck && g->forward && !g->required[b].empty()) {
+    const bool recheck = !g->plans[b].skip_recheck;
+    if (recheck && g->forward && !g->required[b].empty()) {
       const ValueSet& required = g->required[b];
       cand.ForEachSet([&](size_t c) {
         if (!required.IsSubsetOf(
@@ -403,14 +404,14 @@ void TindIndex::RecheckStage(Group* g) const {
         }
       });
     }
-    if (!g->plan.skip_recheck && !g->forward && reverse_usable) {
+    if (recheck && !g->forward && reverse_usable) {
       const ValueSet& query_all = g->queries[b]->AllValues();
       cand.ForEachSet([&](size_t c) {
         if (!required_values_[c].IsSubsetOf(query_all)) cand.Clear(c);
       });
     }
     g->stats[b].after_exact_check = cand.Count();
-    g->stats[b].plan_skipped_recheck = g->plan.skip_recheck;
+    g->stats[b].plan_skipped_recheck = g->plans[b].skip_recheck;
   }
 }
 
@@ -489,7 +490,10 @@ void TindIndex::PruneForwardSlices(Group* g) const {
     // Cancel().
     tasks.clear();
     for (size_t b = 0; b < g->size(); ++b) {
-      if (g->PollCancel(b) || g->candidates[b].None()) continue;
+      if (g->plans[b].skip_slices || g->PollCancel(b) ||
+          g->candidates[b].None()) {
+        continue;
+      }
       const AttributeHistory& query = *g->queries[b];
       const auto [first, last] = query.VersionRangeInInterval(interval);
       for (int64_t v = first; v <= last; ++v) {
@@ -564,7 +568,10 @@ void TindIndex::PruneReverseSlices(Group* g) const {
         dataset_->domain().Clamp(interval.Expanded(2 * options_.delta));
     tasks.clear();
     for (size_t b = 0; b < g->size(); ++b) {
-      if (g->PollCancel(b) || g->candidates[b].None()) continue;
+      if (g->plans[b].skip_slices || g->PollCancel(b) ||
+          g->candidates[b].None()) {
+        continue;
+      }
       BatchSliceTask task;
       task.b = b;
       task.filter =
@@ -638,7 +645,7 @@ std::vector<AttributeId> TindIndex::RunSingle(const AttributeHistory& query,
                                               bool forward) const {
   const AttributeHistory* queries[] = {&query};
   Group g = MakeGroup(queries, 1, params, forward, /*cancels=*/nullptr);
-  g.plan = plan;
+  g.plans[0] = plan;
   g.pool = pool;
   while (g.next != SearchStage::kDone) StepGroup(&g);
   if (stats != nullptr) *stats = g.stats[0];
@@ -679,8 +686,8 @@ std::vector<AttributeId> TindIndex::ReverseSearch(const AttributeHistory& query,
 
 std::vector<std::vector<AttributeId>> TindIndex::BatchExecute(
     const std::vector<const AttributeHistory*>& queries,
-    const TindParams& params, const BatchExecOptions& exec,
-    std::vector<QueryStats>* stats, ThreadPool* pool, bool forward) const {
+    const TindParams& params, std::vector<QueryStats>* stats, ThreadPool* pool,
+    bool forward) const {
   const size_t n = queries.size();
   std::vector<std::vector<AttributeId>> results(n);
   if (stats != nullptr) stats->assign(n, QueryStats{});
@@ -690,10 +697,6 @@ std::vector<std::vector<AttributeId>> TindIndex::BatchExecute(
       PlanBatchShards(n, workers, kBloomBatchGroupSize);
   TIND_OBS_COUNTER_ADD("index/batch_calls", 1);
   TIND_OBS_COUNTER_ADD("index/batch_shards", shards.size());
-  // Superset mode stops after the slice stage: the survivors of the two
-  // Bloom stages are the sound degraded answer.
-  const SearchStage stop =
-      exec.superset_only ? SearchStage::kRecheck : SearchStage::kDone;
   const auto run_shard = [&](size_t s) {
     const IndexRange& range = shards[s];
     // A shard never exceeds kBloomBatchGroupSize, but tolerate larger ones
@@ -705,18 +708,10 @@ std::vector<std::vector<AttributeId>> TindIndex::BatchExecute(
                                     : "batch_reverse_group");
       TIND_OBS_OBSERVE_BOUNDS("index/batch_group_size", size,
                               GroupSizeBounds());
-      const CancellationToken* const* cancels =
-          exec.cancels != nullptr ? exec.cancels + lo : nullptr;
-      Group g = MakeGroup(queries.data() + lo, size, params, forward, cancels);
-      while (g.next < stop) StepGroup(&g);
+      Group g = MakeGroup(queries.data() + lo, size, params, forward,
+                          /*cancels=*/nullptr);
+      while (g.next != SearchStage::kDone) StepGroup(&g);
       for (size_t b = 0; b < size; ++b) {
-        if (exec.superset_only && !g.PollCancel(b)) {
-          g.results[b] = ToAttributeIds(g.candidates[b]);
-          g.stats[b].degraded = true;
-          g.stats[b].after_exact_check = g.stats[b].after_slices;
-          g.stats[b].num_results = g.results[b].size();
-          TIND_OBS_COUNTER_ADD("index/batch_degraded_queries", 1);
-        }
         results[lo + b] = std::move(g.results[b]);
         if (stats != nullptr) (*stats)[lo + b] = g.stats[b];
       }
@@ -734,30 +729,16 @@ std::vector<std::vector<AttributeId>> TindIndex::BatchSearch(
     const std::vector<const AttributeHistory*>& queries,
     const TindParams& params, std::vector<QueryStats>* stats,
     ThreadPool* pool) const {
-  return BatchSearch(queries, params, BatchExecOptions{}, stats, pool);
-}
-
-std::vector<std::vector<AttributeId>> TindIndex::BatchSearch(
-    const std::vector<const AttributeHistory*>& queries,
-    const TindParams& params, const BatchExecOptions& exec,
-    std::vector<QueryStats>* stats, ThreadPool* pool) const {
   TIND_OBS_SCOPED_TIMER("batch_search");
-  return BatchExecute(queries, params, exec, stats, pool, /*forward=*/true);
+  return BatchExecute(queries, params, stats, pool, /*forward=*/true);
 }
 
 std::vector<std::vector<AttributeId>> TindIndex::BatchReverseSearch(
     const std::vector<const AttributeHistory*>& queries,
     const TindParams& params, std::vector<QueryStats>* stats,
     ThreadPool* pool) const {
-  return BatchReverseSearch(queries, params, BatchExecOptions{}, stats, pool);
-}
-
-std::vector<std::vector<AttributeId>> TindIndex::BatchReverseSearch(
-    const std::vector<const AttributeHistory*>& queries,
-    const TindParams& params, const BatchExecOptions& exec,
-    std::vector<QueryStats>* stats, ThreadPool* pool) const {
   TIND_OBS_SCOPED_TIMER("batch_reverse_search");
-  return BatchExecute(queries, params, exec, stats, pool, /*forward=*/false);
+  return BatchExecute(queries, params, stats, pool, /*forward=*/false);
 }
 
 size_t TindIndex::MemoryUsageBytes() const {

@@ -92,12 +92,10 @@ struct QueryStats {
   size_t validations = 0;         ///< Exact Algorithm-2 validations run.
   bool used_slices = false;       ///< False when query δ exceeded build δ.
   bool used_prefilter = false;    ///< False when M_T/M_R was unusable.
-  /// True when this query's CancellationToken fired mid-funnel: the result
-  /// list is empty and every remaining stage was skipped.
+  /// True when this query was abandoned mid-funnel (its CancellationToken
+  /// fired, or SearchCursor::Abandon): the result list is empty and every
+  /// remaining stage was skipped.
   bool cancelled = false;
-  /// True when the query ran in superset mode (BatchExecOptions below):
-  /// results are the sound Bloom-funnel superset, not the exact answer.
-  bool degraded = false;
   /// Planner decisions (tind/plan.h): true when the cost model skipped the
   /// corresponding prune stage. Both skips are sound — the final result is
   /// unchanged; only the work distribution across stages moves.
@@ -111,27 +109,6 @@ struct QueryStats {
   double slices_ms = 0;
   double recheck_ms = 0;
   double validate_ms = 0;
-};
-
-/// Per-call execution controls for BatchSearch / BatchReverseSearch. The
-/// serving layer is the primary client: deadline watchers cancel individual
-/// requests mid-funnel, and overload turns whole batches into cheap
-/// superset ("degraded") answers.
-struct BatchExecOptions {
-  /// Optional per-query cancellation tokens, parallel to `queries`; nullptr
-  /// (the array or an entry) means "not cancellable". Cancellation is
-  /// cooperative and observed between probe blocks: a cancelled query is
-  /// abandoned at the next stage boundary / slice-planning step / validation
-  /// candidate, its result comes back empty with stats.cancelled = true, and
-  /// the other queries of the batch are unaffected (bit-identical to running
-  /// without the cancelled query's token).
-  const CancellationToken* const* cancels = nullptr;
-  /// When true, skip the exact recheck + Algorithm-2 validation stages and
-  /// return the candidate set surviving the Bloom funnel (stages 1-2). The
-  /// answer is a guaranteed superset of the exact result (both stages are
-  /// sound prunes) at a fraction of the cost; stats.degraded is set. This is
-  /// the serving layer's brown-out mode under sustained overload.
-  bool superset_only = false;
 };
 
 /// \brief Immutable tIND search index over one Dataset.
@@ -165,7 +142,7 @@ class TindIndex {
   /// final result is still exact (skipped stages are sound prunes) but the
   /// funnel counters reflect the stages actually run. Both overloads run the
   /// query as a group of one through the batch pipeline; the progressive
-  /// cursor (tind/progressive.h) steps the same group one stage at a time.
+  /// cursor (tind/progressive.h) steps the same groups one stage at a time.
   std::vector<AttributeId> Search(const AttributeHistory& query,
                                   const TindParams& params,
                                   const QueryPlan& plan,
@@ -206,15 +183,6 @@ class TindIndex {
       const TindParams& params, std::vector<QueryStats>* stats = nullptr,
       ThreadPool* pool = nullptr) const;
 
-  /// BatchSearch with per-query cancellation and/or degraded superset mode
-  /// (see BatchExecOptions). With default-constructed options this is
-  /// bit-identical to the overload above.
-  std::vector<std::vector<AttributeId>> BatchSearch(
-      const std::vector<const AttributeHistory*>& queries,
-      const TindParams& params, const BatchExecOptions& exec,
-      std::vector<QueryStats>* stats = nullptr,
-      ThreadPool* pool = nullptr) const;
-
   /// Batched reverse search — same contract as BatchSearch relative to
   /// looped ReverseSearch(). Batching pays the most here: subset probes
   /// touch nearly every row of M_R, and the per-candidate minimum-violation
@@ -223,14 +191,6 @@ class TindIndex {
   std::vector<std::vector<AttributeId>> BatchReverseSearch(
       const std::vector<const AttributeHistory*>& queries,
       const TindParams& params, std::vector<QueryStats>* stats = nullptr,
-      ThreadPool* pool = nullptr) const;
-
-  /// BatchReverseSearch with per-query cancellation and/or degraded superset
-  /// mode (see BatchExecOptions).
-  std::vector<std::vector<AttributeId>> BatchReverseSearch(
-      const std::vector<const AttributeHistory*>& queries,
-      const TindParams& params, const BatchExecOptions& exec,
-      std::vector<QueryStats>* stats = nullptr,
       ThreadPool* pool = nullptr) const;
 
   /// Total bytes held in Bloom matrices ((k+1 [+1]) * m * |D| / 8).
@@ -285,19 +245,22 @@ class TindIndex {
   /// One group (at most kBloomBatchGroupSize queries, one direction) moving
   /// through the funnel: probe → slices → recheck → validate. Every search
   /// runs as a group — Search/ReverseSearch as a group of one, SearchCursor
-  /// as a group of one stepped a stage at a time, BatchSearch as groups of
-  /// up to 64 — so each stage has exactly one implementation.
+  /// as groups of up to 64 stepped a stage at a time, BatchSearch as groups
+  /// of up to 64 — so each stage has exactly one implementation.
   ///
-  /// A member whose token fires is abandoned at the next stage boundary,
-  /// slice-planning step or validation candidate: its results come back
-  /// empty, its funnel counts freeze with `cancelled` set, no later stage
-  /// touches it, and its candidate set stays the sound superset it had
-  /// reached.
+  /// Candidates start as every attribute but the query itself, so they are
+  /// a sound superset before the probe too. A member whose token fires is
+  /// abandoned at the next stage boundary, slice-planning step or
+  /// validation candidate: its results come back empty, its funnel counts
+  /// freeze with `cancelled` set, no later stage touches it, and its
+  /// candidate set stays the sound superset it had reached.
   struct Group {
     std::vector<const AttributeHistory*> queries;
     TindParams params;
     bool forward = true;
-    QueryPlan plan;
+    /// Per-member stage plans; the slice and recheck stages skip exactly
+    /// the members whose plan says so.
+    std::vector<QueryPlan> plans;
     /// Parallel to `queries` when non-empty; null entries are not
     /// cancellable.
     std::vector<const CancellationToken*> cancels;
@@ -364,8 +327,8 @@ class TindIndex {
   /// runs each group of up to kBloomBatchGroupSize queries.
   std::vector<std::vector<AttributeId>> BatchExecute(
       const std::vector<const AttributeHistory*>& queries,
-      const TindParams& params, const BatchExecOptions& exec,
-      std::vector<QueryStats>* stats, ThreadPool* pool, bool forward) const;
+      const TindParams& params, std::vector<QueryStats>* stats,
+      ThreadPool* pool, bool forward) const;
 
   /// Shared writer behind SaveSnapshot / CompactSnapshot (defined in the
   /// tind_snapshot library): `reuse`, when non-null, maps section id to

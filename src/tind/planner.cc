@@ -1,63 +1,21 @@
 #include "tind/planner.h"
 
-#include <algorithm>
-#include <numeric>
-
 #include "obs/metrics.h"
-#include "tind/interval_selection.h"
 
 namespace tind {
 
-namespace {
+CostModelPlanner::CostModelPlanner(const TindIndex& index)
+    : build_delta_(index.options().delta),
+      slice_intervals_(index.slice_intervals()) {}
 
-/// EWMA blend into an atomic cell. Plain load/store: a racing Observe may
-/// drop one sample, which only delays adaptation.
-void Blend(std::atomic<double>* cell, double sample, double alpha) {
-  const double old = cell->load(std::memory_order_relaxed);
-  cell->store(old + alpha * (sample - old), std::memory_order_relaxed);
-}
-
-}  // namespace
-
-CostModelPlanner::CostModelPlanner(const TindIndex& index,
-                                   const PlannerOptions& options)
-    : options_(options),
-      build_delta_(index.options().delta),
-      slice_intervals_(index.slice_intervals()),
-      pruning_fraction_(0.5),
-      slice_cost_us_(options.slice_stage_cost_us),
-      validate_cost_us_(options.validate_cost_us) {
-  // Seed the pruning fraction from the paper's estimate: the mean per-slice
-  // per-attribute version density x = mean_j p(I_j) / |sample| is mapped to
-  // (0, 1) via x / (x + 1) — denser slices prune a larger fraction. This is
-  // a prior only; Observe() converges it to the realized fraction.
-  const Dataset& dataset = index.dataset();
-  const size_t sample_size =
-      std::min(options_.pruning_sample, dataset.size());
-  if (sample_size > 0 && !slice_intervals_.empty()) {
-    std::vector<size_t> sample(sample_size);
-    std::iota(sample.begin(), sample.end(), 0);
-    double total = 0;
-    for (const Interval& interval : slice_intervals_) {
-      total += EstimatePruningPower(dataset, sample, interval);
-    }
-    const double per_attr =
-        total / (static_cast<double>(slice_intervals_.size()) *
-                 static_cast<double>(sample_size));
-    pruning_fraction_.store(per_attr / (per_attr + 1.0),
-                            std::memory_order_relaxed);
-  }
-}
-
-size_t CostModelPlanner::CountSliceProbes(const AttributeHistory& query) const {
-  size_t probes = 0;
+bool CostModelPlanner::HasSliceProbe(const AttributeHistory& query) const {
   for (const Interval& interval : slice_intervals_) {
     const auto [first, last] = query.VersionRangeInInterval(interval);
     for (int64_t v = first; v <= last; ++v) {
-      if (!query.versions()[static_cast<size_t>(v)].empty()) ++probes;
+      if (!query.versions()[static_cast<size_t>(v)].empty()) return true;
     }
   }
-  return probes;
+  return false;
 }
 
 QueryPlan CostModelPlanner::Plan(const AttributeHistory& query,
@@ -71,47 +29,19 @@ QueryPlan CostModelPlanner::Plan(const AttributeHistory& query,
     TIND_OBS_COUNTER_ADD("planner/full", 1);
     return plan;
   }
-  if (initial_candidates <= options_.direct_validate_max) {
+  if (initial_candidates <= kDirectValidateMax) {
     plan.skip_slices = true;
     plan.skip_recheck = true;
     TIND_OBS_COUNTER_ADD("planner/skip_to_validation", 1);
     return plan;
   }
-  if (CountSliceProbes(query) == 0) {
-    // No query version intersects any indexed slice: zero probes would be
-    // issued and zero candidates pruned — the stage is pure bookkeeping.
+  if (!HasSliceProbe(query)) {
     plan.skip_slices = true;
     TIND_OBS_COUNTER_ADD("planner/skip_slices", 1);
     return plan;
   }
-  const double expected_savings_us =
-      pruning_fraction() * static_cast<double>(initial_candidates) *
-      validate_cost_us();
-  if (slice_stage_cost_us() >= expected_savings_us) {
-    plan.skip_slices = true;
-    TIND_OBS_COUNTER_ADD("planner/skip_slices", 1);
-  } else {
-    TIND_OBS_COUNTER_ADD("planner/full", 1);
-  }
+  TIND_OBS_COUNTER_ADD("planner/full", 1);
   return plan;
-}
-
-void CostModelPlanner::Observe(const QueryStats& stats) {
-  if (stats.cancelled || stats.degraded) return;
-  if (stats.used_slices) {
-    Blend(&slice_cost_us_, stats.slices_ms * 1000.0, options_.ewma_alpha);
-    if (stats.initial_candidates > 0) {
-      const double pruned_fraction =
-          static_cast<double>(stats.initial_candidates - stats.after_slices) /
-          static_cast<double>(stats.initial_candidates);
-      Blend(&pruning_fraction_, pruned_fraction, options_.ewma_alpha);
-    }
-  }
-  if (stats.validations > 0) {
-    Blend(&validate_cost_us_,
-          stats.validate_ms * 1000.0 / static_cast<double>(stats.validations),
-          options_.ewma_alpha);
-  }
 }
 
 }  // namespace tind

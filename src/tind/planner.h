@@ -2,21 +2,23 @@
 #define TIND_TIND_PLANNER_H_
 
 /// \file planner.h
-/// Cost-model planner for the staged search funnel. Stage 2 (time-slice
-/// pruning) is pure overhead when the expected validation savings cannot
-/// repay the slice probes: tiny candidate sets after the M_T probe, or
-/// queries with no versions inside any indexed slice. The planner compares
+/// Fixed-rule planner for the staged search funnel. Stage 2 (time-slice
+/// pruning) is pure overhead when it cannot repay its probes: tiny
+/// candidate sets after the M_T/M_R probe, or queries with no versions
+/// inside any indexed slice. The rule, in order:
 ///
-///   cost(slice stage)  vs  p · |C₁| · cost(validate one candidate)
+///  1. query δ above the build δ → the default plan (the slice stage's
+///     soundness gate skips it anyway);
+///  2. at most kDirectValidateMax candidates → skip slices and recheck,
+///     validate directly;
+///  3. no query version inside any indexed slice → skip slices;
+///  4. otherwise the full funnel.
 ///
-/// where |C₁| is the candidate count after stage 1 and p is the expected
-/// fraction of candidates the slice stage prunes — seeded from the paper's
-/// pruning-power estimate p(I) = Σ_A |A[I]| / |I| (Section 4.4.2) and
-/// refined online by an EWMA over observed QueryStats. Skipping either
-/// stage is sound (tind/plan.h), so a wrong decision costs latency, never
-/// correctness.
+/// On serve-8k traffic rule 2 decides about 97% of served queries. Skipping
+/// either stage is sound (tind/plan.h), so a wrong decision costs latency,
+/// never correctness.
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -27,67 +29,31 @@
 
 namespace tind {
 
-struct PlannerOptions {
-  /// EWMA blend factor for observed per-stage costs and pruning fractions.
-  double ewma_alpha = 0.2;
-  /// Seed estimate of one full slice stage (all k probes) in microseconds.
-  double slice_stage_cost_us = 200.0;
-  /// Seed estimate of one exact Algorithm-2 validation in microseconds.
-  double validate_cost_us = 50.0;
-  /// Candidate sets at or below this size always skip straight to
-  /// validation — even a perfect prune cannot save more than the probes
-  /// cost.
-  size_t direct_validate_max = 8;
-  /// Attributes sampled to seed the pruning fraction from p(I).
-  size_t pruning_sample = 256;
-};
-
-/// Per-query skip decisions from observed + seeded stage costs.
-///
-/// The planner copies what it needs from the index at construction (build δ,
-/// slice intervals, the p(I) seed) and never retains the index pointer, so a
-/// planner instance stays valid across serving-layer epoch swaps as long as
-/// the corpus shape is comparable. Plan() is const and thread-safe;
-/// Observe() may race with Plan() — the EWMA cells are atomics and a lost
-/// update only delays adaptation.
+/// Per-query skip decisions. Copies what it needs from the index at
+/// construction (build δ, slice intervals) and never retains the index
+/// pointer, so an instance stays valid across serving-layer epoch swaps.
+/// Plan() is const and thread-safe.
 class CostModelPlanner {
  public:
-  explicit CostModelPlanner(const TindIndex& index,
-                            const PlannerOptions& options = {});
+  /// Candidate sets at or below this size skip straight to validation:
+  /// even a perfect prune cannot save more than the probes cost.
+  static constexpr size_t kDirectValidateMax = 8;
+
+  explicit CostModelPlanner(const TindIndex& index);
 
   /// Decides the skips for one query given the candidate count after the
-  /// stage-1 probe. `params.delta` greater than the build δ returns the
-  /// default plan: the soundness gate in the slice stage already skips, and
-  /// claiming a planner skip would misattribute it in QueryStats.
+  /// stage-1 probe. Counts each decision in planner/{full,
+  /// skip_to_validation,skip_slices}.
   QueryPlan Plan(const AttributeHistory& query, const TindParams& params,
                  size_t initial_candidates) const;
 
-  /// Folds one finished query's stats into the cost model. Cancelled and
-  /// degraded queries are ignored (their stage timings are truncated).
-  void Observe(const QueryStats& stats);
-
-  double pruning_fraction() const {
-    return pruning_fraction_.load(std::memory_order_relaxed);
-  }
-  double slice_stage_cost_us() const {
-    return slice_cost_us_.load(std::memory_order_relaxed);
-  }
-  double validate_cost_us() const {
-    return validate_cost_us_.load(std::memory_order_relaxed);
-  }
-
  private:
-  /// Number of non-empty query versions falling inside indexed slices — the
-  /// number of Bloom probes the forward slice stage would issue. Zero means
-  /// the stage cannot prune anything.
-  size_t CountSliceProbes(const AttributeHistory& query) const;
+  /// True iff some non-empty query version falls inside an indexed slice —
+  /// otherwise the forward slice stage would issue no probe at all.
+  bool HasSliceProbe(const AttributeHistory& query) const;
 
-  PlannerOptions options_;
   int64_t build_delta_ = 0;
   std::vector<Interval> slice_intervals_;  ///< Copied; index not retained.
-  std::atomic<double> pruning_fraction_;
-  std::atomic<double> slice_cost_us_;
-  std::atomic<double> validate_cost_us_;
 };
 
 }  // namespace tind

@@ -12,19 +12,23 @@
 #include "common/thread_pool.h"
 #include "temporal/weights.h"
 #include "tind/index.h"
+#include "tind/progressive.h"
 #include "wiki/generator.h"
 
 /// \file batch_cancellation_test.cc
-/// CancellationToken propagation through BatchSearch / BatchReverseSearch
-/// (BatchExecOptions), and the degraded superset mode. The contracts under
-/// test:
+/// CancellationToken propagation through a group SearchCursor (per-member
+/// tokens over groups of up to 64), and the degraded superset mode the
+/// serving layer builds from it (abandon after the slice stage). The
+/// contracts under test:
 ///  * a pre-cancelled query returns an empty result with stats.cancelled set
-///    and a consistent (all-zero tail) funnel, without running validations;
-///  * the *other* queries of the same batch are bit-identical to a run
-///    without any tokens — cancellation never leaks across queries;
-///  * cancellation observed mid-run terminates the batch without hanging;
-///  * superset_only results are supersets of the exact results, flagged
-///    degraded, with zero Algorithm-2 validations.
+///    and a consistent (all-zero tail) funnel, without running validations,
+///    while its Superset() stays a sound superset of the exact answer;
+///  * the *other* queries of the same cursor are bit-identical to a
+///    BatchSearch without any tokens — cancellation never leaks across
+///    queries;
+///  * cancellation observed mid-run terminates the cursor without hanging;
+///  * members abandoned after the slice stage answer supersets of the exact
+///    results, with zero Algorithm-2 validations.
 
 namespace tind {
 namespace {
@@ -80,9 +84,46 @@ class BatchCancellationTest : public ::testing::Test {
   std::unique_ptr<TindIndex> index_;
 };
 
+/// Steps a group cursor over `queries` (one member per query, token
+/// `cancels[q]` when given) to completion.
+struct CursorRun {
+  std::vector<std::vector<AttributeId>> results;
+  std::vector<std::vector<AttributeId>> supersets;
+  std::vector<QueryStats> stats;
+};
+
+CursorRun RunCursor(const TindIndex& index,
+                    const std::vector<const AttributeHistory*>& queries,
+                    const TindParams& params, bool forward,
+                    const std::vector<const CancellationToken*>& cancels = {},
+                    ThreadPool* pool = nullptr) {
+  std::vector<SearchCursor::Member> members;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    members.push_back({queries[q], cancels.empty() ? nullptr : cancels[q], {}});
+  }
+  SearchCursor::Options options;
+  options.reverse = !forward;
+  options.pool = pool;
+  SearchCursor cursor(index, members, params, options);
+  while (!cursor.done()) cursor.Step();
+  CursorRun run;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    run.results.push_back(cursor.results(q));
+    run.supersets.push_back(cursor.Superset(q));
+    run.stats.push_back(cursor.stats(q));
+  }
+  return run;
+}
+
 TEST_F(BatchCancellationTest, PreCancelledQueriesAreAbandonedOthersExact) {
-  const auto queries = AllQueries();
+  // Three copies of the corpus, so the cursor spans more than one group.
+  std::vector<const AttributeHistory*> queries;
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto all = AllQueries();
+    queries.insert(queries.end(), all.begin(), all.end());
+  }
   const size_t n = queries.size();
+  ASSERT_GT(n, kBloomBatchGroupSize);
   const TindParams params = Params();
 
   for (const bool forward : {true, false}) {
@@ -92,7 +133,7 @@ TEST_F(BatchCancellationTest, PreCancelledQueriesAreAbandonedOthersExact) {
             ? index_->BatchSearch(queries, params, &baseline_stats)
             : index_->BatchReverseSearch(queries, params, &baseline_stats);
 
-    // Cancel every third query before the batch starts.
+    // Cancel every third query before the cursor starts.
     std::vector<CancellationToken> tokens(n);
     std::vector<const CancellationToken*> cancels(n, nullptr);
     std::set<size_t> cancelled_ids;
@@ -104,12 +145,9 @@ TEST_F(BatchCancellationTest, PreCancelledQueriesAreAbandonedOthersExact) {
       }
     }
     ASSERT_FALSE(cancelled_ids.empty());
-    BatchExecOptions exec;
-    exec.cancels = cancels.data();
-    std::vector<QueryStats> stats;
-    const auto results =
-        forward ? index_->BatchSearch(queries, params, exec, &stats)
-                : index_->BatchReverseSearch(queries, params, exec, &stats);
+    const CursorRun run = RunCursor(*index_, queries, params, forward, cancels);
+    const auto& results = run.results;
+    const auto& stats = run.stats;
 
     for (size_t q = 0; q < n; ++q) {
       const std::string ctx =
@@ -119,11 +157,17 @@ TEST_F(BatchCancellationTest, PreCancelledQueriesAreAbandonedOthersExact) {
         EXPECT_TRUE(results[q].empty()) << ctx;
         EXPECT_EQ(stats[q].num_results, 0u) << ctx;
         EXPECT_EQ(stats[q].validations, 0u) << ctx;
-        // Funnel consistency: a pre-cancelled query's candidate set is
-        // cleared before any stage runs, so the whole funnel reads zero.
+        // Funnel consistency: no stage ran for a pre-cancelled query, so
+        // the whole funnel reads zero.
         EXPECT_EQ(stats[q].initial_candidates, 0u) << ctx;
         EXPECT_EQ(stats[q].after_slices, 0u) << ctx;
         EXPECT_EQ(stats[q].after_exact_check, 0u) << ctx;
+        // ...but its superset is still sound.
+        const std::set<AttributeId> superset(run.supersets[q].begin(),
+                                             run.supersets[q].end());
+        for (AttributeId id : baseline[q]) {
+          EXPECT_TRUE(superset.count(id)) << ctx << " missing " << id;
+        }
       } else {
         // Unaffected queries answer bit-identically to the token-free run.
         EXPECT_FALSE(stats[q].cancelled) << ctx;
@@ -143,6 +187,34 @@ TEST_F(BatchCancellationTest, PreCancelledQueriesAreAbandonedOthersExact) {
   }
 }
 
+TEST_F(BatchCancellationTest, CursorAbandonedBeforeItsProbeKeepsASoundSuperset) {
+  // A token that fired before the probe leaves the candidates untouched;
+  // they must read as every attribute but the query, never as empty.
+  const TindParams params = Params();
+  size_t checked = 0;
+  for (size_t q = 0; q < corpus_->dataset.size(); ++q) {
+    const AttributeHistory& query =
+        corpus_->dataset.attribute(static_cast<AttributeId>(q));
+    const std::vector<AttributeId> exact = index_->Search(query, params);
+    if (exact.empty()) continue;
+    CancellationToken token;
+    token.Cancel();
+    SearchCursor::Options options;
+    options.cancel = &token;
+    SearchCursor cursor(*index_, query, params, options);
+    EXPECT_EQ(cursor.Superset().size(), corpus_->dataset.size() - 1) << q;
+    cursor.RunToCompletion();
+    EXPECT_TRUE(cursor.cancelled()) << q;
+    EXPECT_TRUE(cursor.results().empty()) << q;
+    const std::vector<AttributeId> superset = cursor.Superset();
+    const std::set<AttributeId> ids(superset.begin(), superset.end());
+    EXPECT_FALSE(ids.count(static_cast<AttributeId>(q))) << q;
+    for (AttributeId id : exact) EXPECT_TRUE(ids.count(id)) << q << " " << id;
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+}
+
 TEST_F(BatchCancellationTest, NullAndDefaultTokensChangeNothing) {
   const auto queries = AllQueries();
   const TindParams params = Params();
@@ -153,22 +225,19 @@ TEST_F(BatchCancellationTest, NullAndDefaultTokensChangeNothing) {
   std::vector<CancellationToken> tokens(queries.size());
   std::vector<const CancellationToken*> cancels(queries.size(), nullptr);
   for (size_t q = 0; q < queries.size(); q += 2) cancels[q] = &tokens[q];
-  BatchExecOptions exec;
-  exec.cancels = cancels.data();
-  std::vector<QueryStats> stats;
-  const auto results = index_->BatchSearch(queries, params, exec, &stats);
-  ASSERT_EQ(results.size(), baseline.size());
-  for (size_t q = 0; q < results.size(); ++q) {
-    EXPECT_EQ(results[q], baseline[q]) << q;
-    EXPECT_FALSE(stats[q].cancelled) << q;
-    EXPECT_EQ(stats[q].validations, baseline_stats[q].validations) << q;
+  const CursorRun run = RunCursor(*index_, queries, params, true, cancels);
+  ASSERT_EQ(run.results.size(), baseline.size());
+  for (size_t q = 0; q < run.results.size(); ++q) {
+    EXPECT_EQ(run.results[q], baseline[q]) << q;
+    EXPECT_FALSE(run.stats[q].cancelled) << q;
+    EXPECT_EQ(run.stats[q].validations, baseline_stats[q].validations) << q;
   }
 }
 
 TEST_F(BatchCancellationTest, MidRunCancellationTerminatesAndStaysConsistent) {
   const auto base_queries = AllQueries();
   const TindParams params = Params();
-  // Inflate the batch so the run is long enough to catch mid-flight.
+  // Inflate the cursor so the run is long enough to catch mid-flight.
   std::vector<const AttributeHistory*> queries;
   for (int rep = 0; rep < 40; ++rep) {
     queries.insert(queries.end(), base_queries.begin(), base_queries.end());
@@ -176,32 +245,55 @@ TEST_F(BatchCancellationTest, MidRunCancellationTerminatesAndStaysConsistent) {
   const size_t n = queries.size();
   CancellationToken shared;  // One token across all queries (deadline style).
   std::vector<const CancellationToken*> cancels(n, &shared);
-  BatchExecOptions exec;
-  exec.cancels = cancels.data();
 
-  std::vector<QueryStats> stats;
-  std::vector<std::vector<AttributeId>> results;
-  std::thread runner([&] {
-    results = index_->BatchSearch(queries, params, exec, &stats);
-  });
+  CursorRun run;
+  std::thread runner(
+      [&] { run = RunCursor(*index_, queries, params, true, cancels); });
   shared.Cancel();
   runner.join();  // Must terminate promptly; a hang fails via test timeout.
 
-  ASSERT_EQ(results.size(), n);
-  ASSERT_EQ(stats.size(), n);
+  ASSERT_EQ(run.results.size(), n);
+  ASSERT_EQ(run.stats.size(), n);
   std::vector<QueryStats> baseline_stats;
   const auto baseline =
       index_->BatchSearch(base_queries, params, &baseline_stats);
   for (size_t q = 0; q < n; ++q) {
-    if (stats[q].cancelled) {
+    if (run.stats[q].cancelled) {
       // Abandoned: empty answer, zeroed tail of the funnel.
-      EXPECT_TRUE(results[q].empty()) << q;
-      EXPECT_EQ(stats[q].num_results, 0u) << q;
+      EXPECT_TRUE(run.results[q].empty()) << q;
+      EXPECT_EQ(run.stats[q].num_results, 0u) << q;
     } else {
       // Completed before the token was observed: exact answer.
-      EXPECT_EQ(results[q], baseline[q % base_queries.size()]) << q;
+      EXPECT_EQ(run.results[q], baseline[q % base_queries.size()]) << q;
     }
   }
+}
+
+/// The serving layer's brown-out: step the probe and the slice stage, then
+/// abandon every member and read its superset.
+CursorRun RunSupersetMode(const TindIndex& index,
+                          const std::vector<const AttributeHistory*>& queries,
+                          const TindParams& params, bool forward,
+                          ThreadPool* pool = nullptr) {
+  std::vector<SearchCursor::Member> members;
+  for (const AttributeHistory* query : queries) {
+    members.push_back({query, nullptr, {}});
+  }
+  SearchCursor::Options options;
+  options.reverse = !forward;
+  options.pool = pool;
+  SearchCursor cursor(index, members, params, options);
+  cursor.Step();
+  cursor.Step();
+  for (size_t q = 0; q < queries.size(); ++q) cursor.Abandon(q);
+  EXPECT_TRUE(cursor.done());
+  CursorRun run;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    run.results.push_back(cursor.results(q));
+    run.supersets.push_back(cursor.Superset(q));
+    run.stats.push_back(cursor.stats(q));
+  }
+  return run;
 }
 
 TEST_F(BatchCancellationTest, SupersetModeIsASoundDegradedSuperset) {
@@ -214,23 +306,21 @@ TEST_F(BatchCancellationTest, SupersetModeIsASoundDegradedSuperset) {
         forward ? index_->BatchSearch(queries, params, &exact_stats)
                 : index_->BatchReverseSearch(queries, params, &exact_stats);
 
-    BatchExecOptions exec;
-    exec.superset_only = true;
-    std::vector<QueryStats> stats;
-    const auto degraded =
-        forward ? index_->BatchSearch(queries, params, exec, &stats)
-                : index_->BatchReverseSearch(queries, params, exec, &stats);
+    const CursorRun run = RunSupersetMode(*index_, queries, params, forward);
+    const auto& stats = run.stats;
+    const auto& degraded = run.supersets;
 
     size_t total_superset = 0;
     for (size_t q = 0; q < queries.size(); ++q) {
       const std::string ctx =
           (forward ? "fwd q=" : "rev q=") + std::to_string(q);
-      EXPECT_TRUE(stats[q].degraded) << ctx;
-      EXPECT_FALSE(stats[q].cancelled) << ctx;
+      // Abandonment is what marks the answer as not exact.
+      EXPECT_TRUE(stats[q].cancelled) << ctx;
+      EXPECT_TRUE(run.results[q].empty()) << ctx;
       // No Algorithm-2 validations in brown-out mode — that is the point.
       EXPECT_EQ(stats[q].validations, 0u) << ctx;
       // The degraded answer is exactly the post-slice candidate set...
-      EXPECT_EQ(stats[q].num_results, stats[q].after_slices) << ctx;
+      EXPECT_EQ(degraded[q].size(), stats[q].after_slices) << ctx;
       // ...whose funnel prefix matches the exact run's (stages 1-2 are
       // deterministic and unaffected by the mode switch).
       EXPECT_EQ(stats[q].initial_candidates,
@@ -259,18 +349,12 @@ TEST_F(BatchCancellationTest, SupersetModeWorksWithThreadPool) {
   const auto queries = AllQueries();
   const TindParams params = Params();
   ThreadPool pool(3);
-  BatchExecOptions exec;
-  exec.superset_only = true;
-  std::vector<QueryStats> pooled_stats;
-  const auto pooled =
-      index_->BatchSearch(queries, params, exec, &pooled_stats, &pool);
-  std::vector<QueryStats> serial_stats;
-  const auto serial =
-      index_->BatchSearch(queries, params, exec, &serial_stats);
-  ASSERT_EQ(pooled.size(), serial.size());
-  for (size_t q = 0; q < pooled.size(); ++q) {
-    EXPECT_EQ(pooled[q], serial[q]) << q;
-    EXPECT_EQ(pooled_stats[q].after_slices, serial_stats[q].after_slices) << q;
+  const CursorRun pooled = RunSupersetMode(*index_, queries, params, true, &pool);
+  const CursorRun serial = RunSupersetMode(*index_, queries, params, true);
+  ASSERT_EQ(pooled.supersets.size(), serial.supersets.size());
+  for (size_t q = 0; q < pooled.supersets.size(); ++q) {
+    EXPECT_EQ(pooled.supersets[q], serial.supersets[q]) << q;
+    EXPECT_EQ(pooled.stats[q].after_slices, serial.stats[q].after_slices) << q;
   }
 }
 

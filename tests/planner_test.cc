@@ -10,12 +10,10 @@
 #include "wiki/generator.h"
 
 /// \file planner_test.cc
-/// Unit tests for the cost-model planner's decision boundary: the skip /
-/// run choice must flip exactly where cost(slice stage) crosses
-/// p · |C₁| · cost(validate), tiny candidate sets must go straight to
-/// validation, an over-δ query must get the default plan, and Observe()
-/// must move the EWMA cells toward the observed samples (ignoring
-/// cancelled / degraded stats).
+/// Unit tests for the fixed-rule planner: an over-δ query must get the
+/// default plan, candidate sets of at most 8 must go straight to validation
+/// (and 9 must not), and a query with no version inside any slice must skip
+/// the slice stage.
 
 namespace tind {
 namespace {
@@ -52,14 +50,9 @@ class PlannerTest : public ::testing::Test {
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     index_ = std::move(*built);
     // Pick a query with versions inside the indexed slices, so the
-    // zero-probe fast path does not mask the cost comparison under test.
-    // With zero slice cost and an enormous validate cost the planner skips
-    // only when the probe count is zero.
-    PlannerOptions probe_check;
-    probe_check.slice_stage_cost_us = 0.0;
-    probe_check.validate_cost_us = 1e9;
-    probe_check.direct_validate_max = 0;
-    const CostModelPlanner sentinel(*index_, probe_check);
+    // zero-probe rule does not mask the rule under test. Above 8 candidates
+    // the planner skips slices only when the probe count is zero.
+    const CostModelPlanner sentinel(*index_);
     const TindParams params{3.0, 7, weight_.get()};
     for (size_t q = 0; q < corpus_->dataset.size(); ++q) {
       const AttributeHistory& candidate =
@@ -87,9 +80,7 @@ TEST_F(PlannerTest, OverDeltaQueriesGetTheDefaultPlan) {
 }
 
 TEST_F(PlannerTest, TinyCandidateSetsSkipStraightToValidation) {
-  PlannerOptions options;
-  options.direct_validate_max = 8;
-  const CostModelPlanner planner(*index_, options);
+  const CostModelPlanner planner(*index_);
   const TindParams params{3.0, 7, weight_.get()};
 
   const QueryPlan tiny = planner.Plan(*query_, params, 8);
@@ -97,81 +88,19 @@ TEST_F(PlannerTest, TinyCandidateSetsSkipStraightToValidation) {
   EXPECT_TRUE(tiny.skip_recheck);
 
   const QueryPlan boundary = planner.Plan(*query_, params, 9);
+  EXPECT_FALSE(boundary.skip_slices);   // query_ has slice probes.
   EXPECT_FALSE(boundary.skip_recheck);  // Only the tiny path skips recheck.
-}
-
-TEST_F(PlannerTest, SkipDecisionFlipsExactlyAtTheCostCrossover) {
-  // Pin every model input so the boundary is arithmetic, not measurement:
-  // slice stage costs 1000us, a validation 10us, and (to pin the seeded
-  // pruning fraction) observe nothing. With pruning fraction p the planner
-  // skips iff 1000 >= p * C * 10, i.e. C <= 100 / p.
-  PlannerOptions options;
-  options.slice_stage_cost_us = 1000.0;
-  options.validate_cost_us = 10.0;
-  options.direct_validate_max = 0;  // Disable the tiny-set fast path.
-  const CostModelPlanner planner(*index_, options);
-  const double p = planner.pruning_fraction();
-  ASSERT_GT(p, 0.0);
-  ASSERT_LE(p, 1.0);
-  const TindParams params{3.0, 7, weight_.get()};
-
-  const size_t crossover = static_cast<size_t>(1000.0 / (p * 10.0));
-  const QueryPlan below = planner.Plan(*query_, params, crossover);
-  EXPECT_TRUE(below.skip_slices)
-      << "crossover=" << crossover << " p=" << p;
-  const QueryPlan above = planner.Plan(*query_, params, crossover * 2 + 2);
-  EXPECT_FALSE(above.skip_slices)
-      << "crossover=" << crossover << " p=" << p;
-  EXPECT_FALSE(below.skip_recheck);
-  EXPECT_FALSE(above.skip_recheck);
 }
 
 TEST_F(PlannerTest, ZeroSliceProbesSkipsTheSliceStage) {
   // An empty history has no versions inside any slice: the stage would
-  // issue zero probes, so the planner skips it regardless of costs.
-  PlannerOptions options;
-  options.slice_stage_cost_us = 0.0;  // Costs say "run it"; probes say no.
-  options.validate_cost_us = 1e9;
-  options.direct_validate_max = 0;
-  const CostModelPlanner planner(*index_, options);
+  // issue zero probes, so the planner skips it however many candidates.
+  const CostModelPlanner planner(*index_);
   const AttributeHistory empty;  // No versions anywhere, slices included.
   const TindParams params{3.0, 7, weight_.get()};
   const QueryPlan plan = planner.Plan(empty, params, 1000);
   EXPECT_TRUE(plan.skip_slices);
   EXPECT_FALSE(plan.skip_recheck);
-}
-
-TEST_F(PlannerTest, ObserveConvergesTheEwmaCells) {
-  PlannerOptions options;
-  options.ewma_alpha = 0.5;
-  options.slice_stage_cost_us = 1000.0;
-  options.validate_cost_us = 100.0;
-  CostModelPlanner planner(*index_, options);
-
-  QueryStats stats;
-  stats.initial_candidates = 100;
-  stats.after_slices = 20;  // Realized pruning fraction 0.8.
-  stats.used_slices = true;
-  stats.slices_ms = 0.050;    // 50us per slice stage.
-  stats.validations = 10;
-  stats.validate_ms = 0.010;  // 1us per validation.
-  for (int i = 0; i < 64; ++i) planner.Observe(stats);
-
-  EXPECT_NEAR(planner.pruning_fraction(), 0.8, 1e-6);
-  EXPECT_NEAR(planner.slice_stage_cost_us(), 50.0, 1e-3);
-  EXPECT_NEAR(planner.validate_cost_us(), 1.0, 1e-6);
-
-  // Cancelled / degraded stats must not move the model.
-  QueryStats cancelled = stats;
-  cancelled.cancelled = true;
-  cancelled.slices_ms = 1e6;
-  planner.Observe(cancelled);
-  EXPECT_NEAR(planner.slice_stage_cost_us(), 50.0, 1e-3);
-  QueryStats degraded = stats;
-  degraded.degraded = true;
-  degraded.slices_ms = 1e6;
-  planner.Observe(degraded);
-  EXPECT_NEAR(planner.slice_stage_cost_us(), 50.0, 1e-3);
 }
 
 }  // namespace

@@ -39,7 +39,6 @@ void ExpectSameFunnel(const QueryStats& got, const QueryStats& want,
   EXPECT_EQ(got.used_slices, want.used_slices) << context;
   EXPECT_EQ(got.used_prefilter, want.used_prefilter) << context;
   EXPECT_EQ(got.cancelled, want.cancelled) << context;
-  EXPECT_EQ(got.degraded, want.degraded) << context;
   EXPECT_EQ(got.plan_skipped_slices, want.plan_skipped_slices) << context;
   EXPECT_EQ(got.plan_skipped_recheck, want.plan_skipped_recheck) << context;
 }

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "scenario/mutate.h"
 #include "serve/client.h"
 #include "serve/load.h"
@@ -292,6 +293,78 @@ TEST_F(ServeTest, MalformedFramesGetTypedErrorsAndServerSurvives) {
   TindClient client(ClientFor(*server));
   EXPECT_TRUE(client.Search(0).ok());
   EXPECT_GE(server->counters().protocol_errors, 2u);
+}
+
+TEST_F(ServeTest, HostileApplyDeltaFrameLeavesEveryServerServing) {
+  // A 4-byte delta payload claiming 2^32-1 ops: a non-ingest server refuses
+  // it before decoding, an ingest server rejects it as malformed; neither
+  // may go down.
+  for (const bool ingest : {false, true}) {
+    ServerOptions options;
+    options.allow_ingest = ingest;
+    auto server = StartServer(options);
+    auto fd = ConnectTcp("127.0.0.1", server->port(), 1000);
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(SendFrame(*fd, MessageType::kApplyDelta, 5,
+                          std::string(4, '\xff'), 1000)
+                    .ok());
+    auto error_frame = RecvFrame(*fd, 2000, 2000);
+    ASSERT_TRUE(error_frame.ok()) << error_frame.status().ToString();
+    EXPECT_EQ(error_frame->header.type, MessageType::kError);
+    const Status status = DecodeErrorResponse(error_frame->payload);
+    EXPECT_TRUE(ingest ? status.IsInvalidArgument()
+                       : status.IsFailedPrecondition())
+        << status.ToString();
+    CloseFd(*fd);
+    TindClient client(ClientFor(*server));
+    auto reply = client.Search(0);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->ids,
+              index_->Search(corpus_->dataset.attribute(0), Params()));
+    server->Shutdown();
+    EXPECT_EQ(server->counters().deltas_applied, 0u);
+  }
+}
+
+TEST_F(ServeTest, ProtocolErrorsMatchTheRegistry) {
+  const obs::Counter* registry =
+      obs::MetricsRegistry::Global().GetCounter("serve/protocol_errors");
+  const uint64_t before = registry->value();
+  ServerOptions options;
+  options.allow_ingest = true;
+  auto server = StartServer(options);
+  const auto send_malformed = [&](MessageType type,
+                                  const std::string& payload) {
+    auto fd = ConnectTcp("127.0.0.1", server->port(), 1000);
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(SendFrame(*fd, type, 1, payload, 1000).ok());
+    auto reply = RecvFrame(*fd, 2000, 2000);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply->header.type, MessageType::kError);
+    CloseFd(*fd);
+  };
+  SearchRequest out_of_range;
+  out_of_range.attribute = 1u << 20;
+  SearchRequest bad_window;
+  bad_window.attribute = 5;
+  bad_window.window_end = 5;
+  send_malformed(MessageType::kPong, "");  // Not a request type.
+  send_malformed(MessageType::kSearch, "garbage");
+  send_malformed(MessageType::kSearchStream, "garbage");
+  send_malformed(MessageType::kSearch, EncodeSearchRequest(out_of_range));
+  send_malformed(MessageType::kDiscoveryWindow,
+                 EncodeSearchRequest(bad_window));
+  send_malformed(MessageType::kApplyDelta, "garbage");
+  // And bytes that are not a frame at all.
+  auto fd = ConnectTcp("127.0.0.1", server->port(), 1000);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(SendAll(*fd, "this is not a frame, not even close....", 1000)
+                  .ok());
+  ASSERT_TRUE(RecvFrame(*fd, 2000, 2000).ok());
+  CloseFd(*fd);
+  server->Shutdown();
+  EXPECT_EQ(server->counters().protocol_errors, 7u);
+  EXPECT_EQ(registry->value() - before, server->counters().protocol_errors);
 }
 
 TEST_F(ServeTest, SlowLorisConnectionIsCutWithoutHangingTheServer) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "serve/wire.h"
+#include "tind/update.h"
 
 /// \file wire_test.cc
 /// The serving wire protocol: frame encode/decode round-trips, corruption
@@ -141,6 +142,52 @@ TEST(WirePayloadTest, ErrorResponseCarriesTheStatusTaxonomy) {
     EXPECT_EQ(decoded.message(), status.message());
   }
   EXPECT_TRUE(DecodeErrorResponse("x").IsInvalidArgument());
+}
+
+/// Four 0xFF bytes: the largest u32 count a peer can claim.
+const std::string kHugeCount(4, '\xff');
+
+template <typename Decode>
+void ExpectMalformedWithoutThrowing(Decode decode, const std::string& payload,
+                                    const std::string& what) {
+  bool invalid = false;
+  EXPECT_NO_THROW(invalid = decode(payload).status().IsInvalidArgument())
+      << what;
+  EXPECT_TRUE(invalid) << what;
+}
+
+TEST(WirePayloadTest, HugeCountsAreMalformedWithoutAllocating) {
+  // Every count is checked against the bytes that remain before anything is
+  // reserved, so a tiny payload claiming 2^32-1 elements is malformed, not
+  // an allocation failure.
+  const auto delta = [](std::string_view p) {
+    return DecodeApplyDeltaRequest(p);
+  };
+  ExpectMalformedWithoutThrowing(delta, kHugeCount, "op count");
+
+  RevisionDelta append;
+  append.ops.emplace_back();
+  append.ops[0].attribute = 3;
+  std::string huge_values = EncodeApplyDeltaRequest(append);
+  huge_values.replace(huge_values.size() - 4, 4, kHugeCount);
+  ExpectMalformedWithoutThrowing(delta, huge_values, "value count");
+
+  RevisionDelta add;
+  add.ops.emplace_back();
+  add.ops[0].kind = RevisionOp::Kind::kAddAttribute;
+  std::string huge_versions = EncodeApplyDeltaRequest(add);
+  huge_versions.replace(huge_versions.size() - 4, 4, kHugeCount);
+  ExpectMalformedWithoutThrowing(delta, huge_versions, "version count");
+
+  ExpectMalformedWithoutThrowing(
+      [](std::string_view p) { return DecodeSearchResponse(p); },
+      std::string(1, '\0') + kHugeCount, "search response ids");
+  ExpectMalformedWithoutThrowing(
+      [](std::string_view p) { return DecodeSearchPartial(p); },
+      std::string(1, '\0') + kHugeCount, "partial ids");
+  ExpectMalformedWithoutThrowing(
+      [](std::string_view p) { return DecodeDiscoveryResponse(p); },
+      std::string(1, '\0') + kHugeCount, "discovery pairs");
 }
 
 #if defined(__unix__) || defined(__APPLE__)
