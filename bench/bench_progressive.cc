@@ -125,10 +125,7 @@ int RunProgressive(const Flags& flags) {
     planned_cursor.RunToCompletion();
     planner_ms.push_back(planner_timer.ElapsedMillis());
     parity = parity && planned_cursor.results() == exact;
-    if (planned_cursor.plan().skip_slices ||
-        planned_cursor.plan().skip_recheck) {
-      ++planner_skips;
-    }
+    if (planned_cursor.plan().skip_slices) ++planner_skips;
   }
 
   const obs::LatencySummary exact_sum =

@@ -19,7 +19,7 @@
 ///   * the admission MemoryBudget is respected (rejections counted exactly,
 ///     all reservations released afterwards);
 ///   * the p99 of requests the server *did* accept stays within the
-///     deadline budget (the watcher cancels the rest mid-funnel).
+///     deadline budget (a request's deadline cancels it mid-funnel).
 ///
 /// The JSON document (BENCH_serving.json) is validated in CI against
 /// bench/baselines/serving.json; schema is shared with the tind_load tool.

@@ -519,13 +519,19 @@ Result<ChaosReport> RunChaosCheck(const ChaosOptions& options) {
     server_options.default_deadline_ms = 1000;
 
     const auto spawn_server = [&](uint16_t fixed_port,
-                                  const serve::ServerOptions& base_options)
-        -> pid_t {
+                                  const serve::ServerOptions& base_options,
+                                  bool paced = false) -> pid_t {
       const pid_t pid = ::fork();
       if (pid != 0) return pid;
       // Child: serve until SIGTERM, then drain and exit 0. _exit on every
       // path so the parent's streams/atexit state stays untouched.
       FaultInjector::Global().Reset();
+      if (paced &&
+          !FaultInjector::Global()
+               .Configure("serve/stream_pause=1", options.seed)
+               .ok()) {
+        ::_exit(5);
+      }
       serve::ServerOptions child_options = base_options;
       child_options.port = fixed_port;
       serve::TindServer server(index, params, child_options);
@@ -757,15 +763,14 @@ Result<ChaosReport> RunChaosCheck(const ChaosOptions& options) {
                       "respawn fork failed");
       }
 
-      // F: progressive streaming chaos against a *paced* child — the
-      // server sleeps between funnel stages, stretching the gap between
-      // the partial frame and the final one so deadline and mid-stream
-      // kill interleavings are deterministic instead of racy.
+      // F: progressive streaming chaos against a *paced* child — its armed
+      // serve/stream_pause fault point holds every stream between the
+      // partial frame and the final one, so deadline and mid-stream kill
+      // interleavings are deterministic instead of racy.
       std::remove(port_path.c_str());
       serve::ServerOptions paced_options = server_options;
-      paced_options.stream_pace_ms = 300;
       paced_options.default_deadline_ms = 10000;
-      pid_t paced_pid = spawn_server(0, paced_options);
+      pid_t paced_pid = spawn_server(0, paced_options, /*paced=*/true);
       uint16_t paced_port = 0;
       if (paced_pid > 0) {
         const auto paced_deadline =

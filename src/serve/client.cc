@@ -1,5 +1,6 @@
 #include "serve/client.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -8,6 +9,13 @@ namespace tind::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+bool AlwaysRetry() { return true; }
+
+Status UnexpectedReply(const Frame& frame) {
+  return Status::Internal("unexpected reply type " +
+                          std::to_string(static_cast<int>(frame.header.type)));
+}
 
 int RemainingMs(Clock::time_point deadline) {
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -67,43 +75,32 @@ Result<QueryReply> TindClient::DiscoveryWindow(AttributeId begin,
 }
 
 Result<ApplyDeltaResponse> TindClient::ApplyDelta(const RevisionDelta& delta) {
-  // Deliberately bypasses Attempt(): its hedged second send would apply
-  // the same (non-idempotent) delta twice.
-  ++counters_.attempts;
-  const Status connected = EnsureConnected();
-  if (!connected.ok()) return connected;
-  const uint64_t id = next_id_++;
-  const int timeout = static_cast<int>(options_.response_timeout_ms);
-  const Status sent = SendFrame(fd_, MessageType::kApplyDelta, id,
-                                EncodeApplyDeltaRequest(delta), timeout);
-  if (!sent.ok()) {
-    Disconnect();
-    return sent;
-  }
-  auto frame = WaitReply(fd_, id, timeout);
-  if (!frame.ok()) {
-    Disconnect();
-    return frame.status();
-  }
-  switch (frame->header.type) {
-    case MessageType::kApplyDeltaResult:
-      return DecodeApplyDeltaResponse(frame->payload);
-    case MessageType::kError:
-      return DecodeErrorResponse(frame->payload);
-    default:
-      return Status::Internal(
-          "unexpected apply-delta reply type " +
-          std::to_string(static_cast<int>(frame->header.type)));
-  }
+  // One attempt: applying a delta is not idempotent.
+  ApplyDeltaResponse response;
+  const Status status =
+      Call(MessageType::kApplyDelta, EncodeApplyDeltaRequest(delta),
+           /*max_attempts=*/1, AlwaysRetry,
+           [&](const Frame& frame, double) -> Status {
+             if (frame.header.type != MessageType::kApplyDeltaResult) {
+               return UnexpectedReply(frame);
+             }
+             auto decoded = DecodeApplyDeltaResponse(frame.payload);
+             if (!decoded.ok()) return decoded.status();
+             response = *decoded;
+             return Status::OK();
+           });
+  if (!status.ok()) return status;
+  return response;
 }
 
 Status TindClient::Ping() {
-  auto frame = Attempt(MessageType::kPing, "");
-  if (!frame.ok()) return frame.status();
-  if (frame->header.type != MessageType::kPong) {
-    return Status::Internal("unexpected ping reply type");
-  }
-  return Status::OK();
+  // A liveness probe reports its first failure.
+  return Call(MessageType::kPing, "", /*max_attempts=*/1, AlwaysRetry,
+              [](const Frame& frame, double) -> Status {
+                return frame.header.type == MessageType::kPong
+                           ? Status::OK()
+                           : UnexpectedReply(frame);
+              });
 }
 
 Result<QueryReply> TindClient::Execute(MessageType type,
@@ -113,56 +110,28 @@ Result<QueryReply> TindClient::Execute(MessageType type,
   request.delta = options_.delta;
   request.deadline_ms = options_.deadline_ms;
   request.allow_degraded = options_.allow_degraded;
-  const std::string payload = EncodeSearchRequest(request);
-
-  ExponentialBackoff backoff(options_.backoff, options_.backoff_seed);
-  Status last = Status::Internal("no attempt made");
-  const uint32_t attempts = options_.max_attempts == 0
-                                ? 1
-                                : options_.max_attempts;
-  for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      ++counters_.retries;
-      uint64_t delay_us = 0;
-      if (backoff.NextDelayUs(&delay_us)) {
-        std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-      }
-    }
-    auto frame = Attempt(type, payload);
-    if (!frame.ok()) {
-      last = frame.status();
-      if (!IsRetryableServeError(last)) return last;
-      continue;
-    }
-    switch (frame->header.type) {
-      case MessageType::kSearchResult: {
-        auto decoded = DecodeSearchResponse(frame->payload);
-        if (!decoded.ok()) return decoded.status();
-        QueryReply reply;
-        reply.ids = std::move(decoded->ids);
-        reply.degraded = decoded->degraded;
-        return reply;
-      }
-      case MessageType::kDiscoveryResult: {
-        auto decoded = DecodeDiscoveryResponse(frame->payload);
-        if (!decoded.ok()) return decoded.status();
-        QueryReply reply;
-        reply.pairs = std::move(decoded->pairs);
-        reply.degraded = decoded->degraded;
-        return reply;
-      }
-      case MessageType::kError: {
-        last = DecodeErrorResponse(frame->payload);
-        if (!IsRetryableServeError(last)) return last;
-        break;  // Retry with backoff.
-      }
-      default:
-        return Status::Internal("unexpected reply type " +
-                                std::to_string(static_cast<int>(
-                                    frame->header.type)));
-    }
-  }
-  return last;
+  QueryReply reply;
+  const Status status = Call(
+      type, EncodeSearchRequest(request), options_.max_attempts, AlwaysRetry,
+      [&](const Frame& frame, double) -> Status {
+        if (frame.header.type == MessageType::kSearchResult) {
+          auto decoded = DecodeSearchResponse(frame.payload);
+          if (!decoded.ok()) return decoded.status();
+          reply.ids = std::move(decoded->ids);
+          reply.degraded = decoded->degraded;
+          return Status::OK();
+        }
+        if (frame.header.type == MessageType::kDiscoveryResult) {
+          auto decoded = DecodeDiscoveryResponse(frame.payload);
+          if (!decoded.ok()) return decoded.status();
+          reply.pairs = std::move(decoded->pairs);
+          reply.degraded = decoded->degraded;
+          return Status::OK();
+        }
+        return UnexpectedReply(frame);
+      });
+  if (!status.ok()) return status;
+  return reply;
 }
 
 Status TindClient::SearchStream(AttributeId attribute, StreamReply* reply) {
@@ -184,193 +153,98 @@ Status TindClient::ExecuteStream(AttributeId attribute, bool reverse,
   request.base.deadline_ms = options_.deadline_ms;
   request.base.allow_degraded = options_.allow_degraded;
   request.reverse = reverse;
-  const std::string payload = EncodeSearchStreamRequest(request);
+  // Retry only while the stream has not started: after a partial, the
+  // caller already holds a valid superset and a retry would silently
+  // restart the funnel — return the error and let them decide.
+  return Call(
+      MessageType::kSearchStream, EncodeSearchStreamRequest(request),
+      options_.max_attempts, [reply] { return !reply->got_partial; },
+      [reply](const Frame& frame, double ms_since_send) -> Status {
+        if (frame.header.type == MessageType::kSearchPartial) {
+          auto decoded = DecodeSearchPartial(frame.payload);
+          if (!decoded.ok()) return decoded.status();
+          if (!reply->got_partial) reply->ttfr_ms = ms_since_send;
+          reply->got_partial = true;
+          reply->partial_stage = decoded->stage;
+          reply->partial_ids = std::move(decoded->ids);
+          return Status::OK();
+        }
+        if (frame.header.type != MessageType::kSearchResult) {
+          return UnexpectedReply(frame);
+        }
+        auto decoded = DecodeSearchResponse(frame.payload);
+        if (!decoded.ok()) return decoded.status();
+        reply->ids = std::move(decoded->ids);
+        reply->degraded = decoded->degraded;
+        reply->total_ms = ms_since_send;
+        return Status::OK();
+      });
+}
 
+Status TindClient::Call(MessageType type, const std::string& payload,
+                        uint32_t max_attempts,
+                        const std::function<bool()>& may_retry,
+                        const ReplyHandler& on_reply) {
   ExponentialBackoff backoff(options_.backoff, options_.backoff_seed);
-  Status last = Status::Internal("no attempt made");
-  const uint32_t attempts =
-      options_.max_attempts == 0 ? 1 : options_.max_attempts;
-  for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
+  Status last;
+  for (uint32_t attempt = 0; attempt < std::max(max_attempts, 1u);
+       ++attempt) {
     if (attempt > 0) {
+      if (!IsRetryableServeError(last) || !may_retry()) return last;
       ++counters_.retries;
       uint64_t delay_us = 0;
       if (backoff.NextDelayUs(&delay_us)) {
         std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
       }
     }
-    // Like ApplyDelta, this bypasses Attempt(): a hedge would run the
-    // funnel twice and interleave two partial streams under one id.
     ++counters_.attempts;
-    const Status connected = EnsureConnected();
-    if (!connected.ok()) {
-      last = connected;
-      if (!IsRetryableServeError(last)) return last;
-      continue;
-    }
+    last = EnsureConnected();
+    if (!last.ok()) continue;
     const uint64_t id = next_id_++;
     const Clock::time_point sent_at = Clock::now();
     const Clock::time_point deadline =
         sent_at + std::chrono::milliseconds(options_.response_timeout_ms);
-    const Status sent = SendFrame(fd_, MessageType::kSearchStream, id, payload,
-                                  RemainingMs(deadline));
-    if (!sent.ok()) {
+    last = SendFrame(fd_, type, id, payload, RemainingMs(deadline));
+    if (!last.ok()) {
       Disconnect();
-      last = sent.IsDeadlineExceeded()
-                 ? Status::IOError("request send timed out")
-                 : sent;
+      if (last.IsDeadlineExceeded()) {
+        last = Status::IOError("request send timed out");
+      }
       continue;
     }
     for (;;) {
-      auto frame = WaitReply(fd_, id, RemainingMs(deadline));
+      auto frame = WaitReply(id, deadline);
       if (!frame.ok()) {
+        // A timed-out reply may still arrive for a later attempt's wait;
+        // drop the connection to keep attempts independent.
         Disconnect();
         last = frame.status().IsDeadlineExceeded()
                    ? Status::IOError("response timed out")
                    : frame.status();
         break;
       }
-      if (frame->header.type == MessageType::kSearchPartial) {
-        auto decoded = DecodeSearchPartial(frame->payload);
-        if (!decoded.ok()) {
-          Disconnect();
-          return decoded.status();
-        }
-        if (!reply->got_partial) {
-          reply->ttfr_ms = std::chrono::duration<double, std::milli>(
-                               Clock::now() - sent_at)
-                               .count();
-        }
-        reply->got_partial = true;
-        reply->partial_stage = decoded->stage;
-        reply->partial_ids = std::move(decoded->ids);
-        continue;
-      }
-      if (frame->header.type == MessageType::kSearchResult) {
-        auto decoded = DecodeSearchResponse(frame->payload);
-        if (!decoded.ok()) return decoded.status();
-        reply->ids = std::move(decoded->ids);
-        reply->degraded = decoded->degraded;
-        reply->total_ms = std::chrono::duration<double, std::milli>(
-                              Clock::now() - sent_at)
-                              .count();
-        return Status::OK();
-      }
       if (frame->header.type == MessageType::kError) {
         last = DecodeErrorResponse(frame->payload);
-        if (!IsRetryableServeError(last)) return last;
         break;
       }
-      return Status::Internal(
-          "unexpected stream reply type " +
-          std::to_string(static_cast<int>(frame->header.type)));
+      const Status handled = on_reply(
+          *frame,
+          std::chrono::duration<double, std::milli>(Clock::now() - sent_at)
+              .count());
+      // Only a stream's partial frames leave the call waiting for more.
+      if (!handled.ok() || frame->header.type != MessageType::kSearchPartial) {
+        return handled;
+      }
     }
-    // Retry only while the stream has not started: after a partial, the
-    // caller already holds a valid superset and a retry would silently
-    // restart the funnel — return the error and let them decide.
-    if (reply->got_partial) return last;
   }
   return last;
 }
 
-Result<Frame> TindClient::Attempt(MessageType type,
-                                  const std::string& payload) {
-  ++counters_.attempts;
-  const Status connected = EnsureConnected();
-  if (!connected.ok()) return connected;
-  const uint64_t id = next_id_++;
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(options_.response_timeout_ms);
-  {
-    const Status sent =
-        SendFrame(fd_, type, id, payload, RemainingMs(deadline));
-    if (!sent.ok()) {
-      Disconnect();
-      return sent.IsDeadlineExceeded()
-                 ? Status::IOError("request send timed out")
-                 : sent;
-    }
-  }
-
-  // Primary wait; with hedging enabled, wait only up to the hedge delay
-  // before opening the second connection.
-  const bool can_hedge = options_.hedge_delay_ms > 0;
-  const int first_wait =
-      can_hedge ? std::min<int>(static_cast<int>(options_.hedge_delay_ms),
-                                RemainingMs(deadline))
-                : RemainingMs(deadline);
-  auto reply = WaitReply(fd_, id, first_wait);
-  if (reply.ok() || !can_hedge || !reply.status().IsDeadlineExceeded()) {
-    if (!reply.ok() && !reply.status().IsDeadlineExceeded()) Disconnect();
-    if (!reply.ok() && reply.status().IsDeadlineExceeded()) {
-      // The response may still arrive for a later request's wait and be
-      // discarded by id; drop the stream to keep attempts independent.
-      Disconnect();
-      return Status::IOError("response timed out");
-    }
-    return reply;
-  }
-
-  // Hedge: same request, fresh connection, same id (the id identifies the
-  // logical request; whichever stream answers first wins).
-  ++counters_.hedges;
-  auto hedge_fd = ConnectTcp(options_.host, options_.port,
-                             RemainingMs(deadline));
-  if (!hedge_fd.ok()) {
-    Disconnect();
-    return Status::IOError("response timed out (hedge connect failed: " +
-                           hedge_fd.status().message() + ")");
-  }
-  const Status hedge_sent =
-      SendFrame(*hedge_fd, type, id, payload, RemainingMs(deadline));
-  if (!hedge_sent.ok()) {
-    CloseFd(*hedge_fd);
-    Disconnect();
-    return Status::IOError("response timed out (hedge send failed)");
-  }
-  // Alternate between the two streams in short slices until one answers.
-  while (RemainingMs(deadline) > 0) {
-    auto primary = WaitReply(fd_, id, 20);
-    if (primary.ok()) {
-      CloseFd(*hedge_fd);
-      return primary;
-    }
-    if (!primary.status().IsDeadlineExceeded()) {
-      // Primary died; promote the hedge to be the connection.
-      Disconnect();
-      fd_ = *hedge_fd;
-      auto hedged = WaitReply(fd_, id, RemainingMs(deadline));
-      if (hedged.ok()) ++counters_.hedge_wins;
-      if (!hedged.ok()) Disconnect();
-      return hedged;
-    }
-    auto hedged = WaitReply(*hedge_fd, id, 20);
-    if (hedged.ok()) {
-      ++counters_.hedge_wins;
-      // The hedge answered first: adopt it, retire the primary (which may
-      // still deliver a stale frame we would have to skip).
-      Disconnect();
-      fd_ = *hedge_fd;
-      return hedged;
-    }
-    if (!hedged.status().IsDeadlineExceeded()) {
-      CloseFd(*hedge_fd);
-      auto primary_rest = WaitReply(fd_, id, RemainingMs(deadline));
-      if (!primary_rest.ok()) Disconnect();
-      return primary_rest;
-    }
-  }
-  CloseFd(*hedge_fd);
-  Disconnect();
-  return Status::IOError("response timed out (hedged)");
-}
-
-Result<Frame> TindClient::WaitReply(int fd, uint64_t request_id,
-                                    int timeout_ms) {
-  const Clock::time_point deadline =
-      Clock::now() + std::chrono::milliseconds(timeout_ms);
+Result<Frame> TindClient::WaitReply(uint64_t request_id,
+                                    Clock::time_point deadline) {
   for (;;) {
     auto frame =
-        RecvFrame(fd, RemainingMs(deadline),
+        RecvFrame(fd_, RemainingMs(deadline),
                   static_cast<int>(options_.response_timeout_ms));
     if (!frame.ok()) return frame.status();
     if (frame->header.request_id == request_id) return frame;

@@ -3,19 +3,20 @@
 
 /// \file client.h
 /// TindClient: a synchronous client for the tind_serve wire protocol with
-/// the full resilience kit — reconnect on transport failure, bounded
-/// retries with exponential backoff + decorrelated jitter
-/// (common/backoff.h), and optional hedged reads (a second connection is
-/// opened when the primary response is slow; the first answer wins).
+/// reconnect on transport failure and bounded retries with exponential
+/// backoff + decorrelated jitter (common/backoff.h).
 ///
 /// Retry policy: transport errors (IOError), overload rejections
 /// (ResourceExhausted, OutOfMemory), and deadline errors are retried up to
-/// `max_attempts` with backoff; semantic errors (InvalidArgument,
-/// NotFound, ...) are returned immediately. Every attempt uses a fresh
-/// request id, so a late response from a timed-out attempt is recognized
-/// and discarded instead of being mistaken for the current answer.
+/// the op's attempt budget with backoff; semantic errors (InvalidArgument,
+/// NotFound, ...) are returned immediately. Every op runs through one
+/// send → wait → retry loop, and every attempt uses a fresh request id, so
+/// a late response from a timed-out attempt is recognized and discarded
+/// instead of being mistaken for the current answer.
 
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,10 +43,6 @@ struct ClientOptions {
                          /*multiplier=*/3.0, /*deadline_us=*/0,
                          /*max_retries=*/0};
   uint64_t backoff_seed = 1;
-  /// Hedged reads: after this long without a response, send the same
-  /// request on a second connection and take whichever answers first.
-  /// 0 disables hedging.
-  uint32_t hedge_delay_ms = 0;
 };
 
 struct QueryReply {
@@ -84,17 +81,16 @@ class TindClient {
 
   /// Anytime search over the kSearchStream op: one or more kSearchPartial
   /// frames (sound supersets, recorded into `reply` as they land) followed
-  /// by the final kSearchResult. Never hedged — two interleaved partial
-  /// streams under one id would be ambiguous — and retried only while no
-  /// frame of the stream has arrived yet; after a partial, errors are
-  /// returned with `reply->got_partial` still set so the caller can fall
-  /// back to the superset it holds.
+  /// by the final kSearchResult. Retried only while no frame of the stream
+  /// has arrived yet; after a partial, errors are returned with
+  /// `reply->got_partial` still set so the caller can fall back to the
+  /// superset it holds.
   Status SearchStream(AttributeId attribute, StreamReply* reply);
   Status ReverseSearchStream(AttributeId attribute, StreamReply* reply);
 
   /// Live ingest: ships `delta` to the server, which patches its index and
-  /// swaps serving epochs. Single attempt, never retried or hedged —
-  /// applying a delta is not idempotent, and a retry after an ambiguous
+  /// swaps serving epochs. Single attempt, never retried — applying a
+  /// delta is not idempotent, and a retry after an ambiguous
   /// transport failure could double-apply it. On a transport error the
   /// caller must resynchronize (e.g. compare epoch sequences) before
   /// resending.
@@ -107,21 +103,31 @@ class TindClient {
     uint64_t attempts = 0;
     uint64_t retries = 0;
     uint64_t reconnects = 0;
-    uint64_t hedges = 0;      ///< Hedge connections opened.
-    uint64_t hedge_wins = 0;  ///< Answers that came from the hedge.
     uint64_t stale_replies = 0;  ///< Late frames for a previous attempt.
   };
   const Counters& counters() const { return counters_; }
 
  private:
+  /// Handles one reply frame, given the time since its attempt was sent.
+  using ReplyHandler =
+      std::function<Status(const Frame& frame, double ms_since_send)>;
+
   Result<QueryReply> Execute(MessageType type, const SearchRequest& request);
   Status ExecuteStream(AttributeId attribute, bool reverse, StreamReply* reply);
-  /// One attempt: send on the primary connection, wait (optionally hedging)
-  /// for the frame with the matching id.
-  Result<Frame> Attempt(MessageType type, const std::string& payload);
+  /// The one send → wait → retry loop. Each of up to `max_attempts`
+  /// attempts sends `payload` under a fresh id, within response_timeout_ms,
+  /// and passes its reply frames to `on_reply`; a kSearchPartial frame
+  /// keeps the attempt waiting, any other frame ends the call with the
+  /// handler's status. Transport failures and kError replies end the
+  /// attempt; a retryable one is retried while `may_retry()` holds.
+  Status Call(MessageType type, const std::string& payload,
+              uint32_t max_attempts, const std::function<bool()>& may_retry,
+              const ReplyHandler& on_reply);
   Status EnsureConnected();
-  /// Waits for a frame with `request_id` on `fd`; discards stale ids.
-  Result<Frame> WaitReply(int fd, uint64_t request_id, int timeout_ms);
+  /// Waits on the connection for a frame with `request_id`; discards stale
+  /// ids.
+  Result<Frame> WaitReply(uint64_t request_id,
+                          std::chrono::steady_clock::time_point deadline);
 
   ClientOptions options_;
   int fd_ = -1;

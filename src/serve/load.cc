@@ -48,7 +48,6 @@ obs::JsonValue LoadReport::ToJson() const {
   v.Set("other_errors", obs::JsonValue(other_errors));
   v.Set("retries", obs::JsonValue(retries));
   v.Set("reconnects", obs::JsonValue(reconnects));
-  v.Set("hedges", obs::JsonValue(hedges));
   v.Set("achieved_qps", obs::JsonValue(achieved_qps));
   v.Set("p50_ms", obs::JsonValue(p50_ms));
   v.Set("p95_ms", obs::JsonValue(p95_ms));
@@ -207,7 +206,6 @@ LoadReport RunOpenLoopLoad(const LoadOptions& options) {
   for (const TindClient::Counters& c : client_counters) {
     report.retries += c.retries;
     report.reconnects += c.reconnects;
-    report.hedges += c.hedges;
   }
   const obs::LatencySummary latency = obs::LatencySummary::FromSamples(latencies);
   report.p50_ms = latency.p50;

@@ -57,7 +57,6 @@ struct LoadReport {
   uint64_t other_errors = 0;
   uint64_t retries = 0;
   uint64_t reconnects = 0;
-  uint64_t hedges = 0;
   double achieved_qps = 0;
   double p50_ms = 0;
   double p95_ms = 0;

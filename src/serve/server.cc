@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #endif
 
+#include "common/fault_injection.h"
 #include "obs/metrics.h"
 #include "tind/planner.h"
 #include "tind/progressive.h"
@@ -23,6 +24,9 @@ using Clock = std::chrono::steady_clock;
 
 /// Poll tick for loops that must notice the stop flag while blocked on I/O.
 constexpr int kIdlePollMs = 100;
+
+/// How long an armed serve/stream_pause fault point holds a stream.
+constexpr std::chrono::milliseconds kStreamPause(300);
 
 Status IngestDisabled() {
   return Status::FailedPrecondition(
@@ -78,9 +82,9 @@ struct TindServer::PendingRequest {
   SearchRequest request;
   /// Search direction: kReverseSearch, or a kSearchStream that asked for it.
   bool reverse = false;
+  /// Carries the request's deadline: the funnel's polls see it expire.
   CancellationToken cancel;
   Clock::time_point admitted;
-  Clock::time_point deadline;
   MemoryReservation reservation;
   bool responded = false;
 };
@@ -100,11 +104,8 @@ Status TindServer::Start() {
   if (started_.exchange(true)) {
     return Status::FailedPrecondition("server already started");
   }
-  request_cost_bytes_ =
-      options_.request_cost_bytes != 0
-          ? options_.request_cost_bytes
-          : sizeof(PendingRequest) +
-                index_.dataset().size() * sizeof(AttributeId);
+  query_cost_bytes_ =
+      sizeof(PendingRequest) + index_.dataset().size() * sizeof(AttributeId);
   TIND_ASSIGN_OR_RETURN(listen_fd_, ListenTcp(options_.port));
   TIND_ASSIGN_OR_RETURN(port_, LocalPort(listen_fd_));
   latency_ms_ =
@@ -115,7 +116,6 @@ Status TindServer::Start() {
   planner_ = std::make_unique<CostModelPlanner>(index_);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   batcher_thread_ = std::thread([this] { BatcherLoop(); });
-  watcher_thread_ = std::thread([this] { WatcherLoop(); });
   return Status::OK();
 }
 
@@ -126,8 +126,8 @@ void TindServer::Shutdown() {
   // hanging; the accept loop stops taking new connections.
   draining_.store(true);
   // Phase 2: wait for in-flight requests to be answered. Bounded: every
-  // admitted request carries a deadline the watcher enforces, and the
-  // batcher keeps dispatching until the queue is empty.
+  // admitted request's token carries its deadline, and the batcher keeps
+  // dispatching until the queue is empty.
   {
     std::unique_lock<std::mutex> lock(queue_mutex_);
     queue_cv_.notify_all();
@@ -135,11 +135,9 @@ void TindServer::Shutdown() {
   }
   // Phase 3: tear down the threads and sockets.
   stop_.store(true);
-  watcher_cv_.notify_all();
   queue_cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
   if (batcher_thread_.joinable()) batcher_thread_.join();
-  if (watcher_thread_.joinable()) watcher_thread_.join();
   stop_readers_.store(true);
   {
     std::lock_guard<std::mutex> lock(conns_mutex_);
@@ -396,7 +394,7 @@ void TindServer::AdmitRequest(const std::shared_ptr<Connection>& conn,
   PendingRequest pending;
   pending.reservation = MemoryReservation(options_.memory);
   const Status reserved =
-      pending.reservation.Reserve(request_cost_bytes_ * num_queries);
+      pending.reservation.Reserve(query_cost_bytes_ * num_queries);
   if (!reserved.ok()) {
     shed_.fetch_add(1);
     TIND_OBS_COUNTER_ADD("serve/shed", 1);
@@ -413,7 +411,8 @@ void TindServer::AdmitRequest(const std::shared_ptr<Connection>& conn,
   pending.request = request;
   pending.reverse = reverse;
   pending.admitted = Clock::now();
-  pending.deadline = pending.admitted + std::chrono::milliseconds(budget_ms);
+  pending.cancel = CancellationToken(pending.admitted +
+                                     std::chrono::milliseconds(budget_ms));
   bool queue_full = false;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -423,12 +422,6 @@ void TindServer::AdmitRequest(const std::shared_ptr<Connection>& conn,
       ++inflight_;
       accepted_.fetch_add(1);
       TIND_OBS_GAUGE_SET("serve/queue_depth", queue_.size() + 1);
-      {
-        std::lock_guard<std::mutex> watcher_lock(watcher_mutex_);
-        watcher_heap_.push_back({pending.deadline, pending.cancel});
-        std::push_heap(watcher_heap_.begin(), watcher_heap_.end(),
-                       std::greater<DeadlineEntry>());
-      }
       queue_.push_back(std::move(pending));
     }
   }
@@ -442,35 +435,7 @@ void TindServer::AdmitRequest(const std::shared_ptr<Connection>& conn,
         std::to_string(options_.max_inflight) + " in flight)"));
     return;
   }
-  watcher_cv_.notify_one();
   queue_cv_.notify_one();
-}
-
-void TindServer::WatcherLoop() {
-  std::unique_lock<std::mutex> lock(watcher_mutex_);
-  while (!stop_.load()) {
-    if (watcher_heap_.empty()) {
-      watcher_cv_.wait_for(lock, std::chrono::milliseconds(kIdlePollMs));
-      continue;
-    }
-    const Clock::time_point due = watcher_heap_.front().due;
-    if (Clock::now() < due) {
-      watcher_cv_.wait_until(lock, due);
-      continue;
-    }
-    // Fire every entry that is due. Cancelling the token of a request that
-    // already completed is a harmless no-op (lazy deletion).
-    while (!watcher_heap_.empty() &&
-           watcher_heap_.front().due <= Clock::now()) {
-      std::pop_heap(watcher_heap_.begin(), watcher_heap_.end(),
-                    std::greater<DeadlineEntry>());
-      CancellationToken token = std::move(watcher_heap_.back().token);
-      watcher_heap_.pop_back();
-      lock.unlock();
-      token.Cancel();
-      lock.lock();
-    }
-  }
 }
 
 void TindServer::BatcherLoop() {
@@ -522,9 +487,8 @@ void TindServer::ProcessBatch(std::vector<PendingRequest>&& batch,
   // discovery windows and streams of one key step through one cursor.
   std::map<std::tuple<bool, uint64_t, int64_t>, std::vector<PendingRequest*>>
       groups;
-  const Clock::time_point now = Clock::now();
   for (PendingRequest& request : batch) {
-    if (now >= request.deadline || request.cancel.cancelled()) {
+    if (request.cancel.cancelled()) {
       RespondError(request,
                    Status::DeadlineExceeded("deadline expired in queue"));
       continue;
@@ -587,9 +551,10 @@ void TindServer::RunGroup(const std::vector<PendingRequest*>& requests,
     ttfr_ms_->Observe(MillisSince(request.admitted));
     streamed = true;
   }
-  if (streamed && options_.stream_pace_ms > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(options_.stream_pace_ms));
+  // Fault point: hold the funnel between the partial and the final frames
+  // so a test can land a deadline or a kill there deterministically.
+  if (streamed && TIND_FAULT_POINT("serve/stream_pause")) {
+    std::this_thread::sleep_for(kStreamPause);
   }
 
   // Stage 2, then the brown-out: in an overloaded window, consenting

@@ -9,9 +9,9 @@
 /// windows and steps every request of one (direction, ε, δ) — searches,
 /// discovery windows and streams alike — through one SearchCursor
 /// (tind/progressive.h), with the fixed-rule planner (tind/planner.h)
-/// choosing each member's stages after its probe; a deadline watcher
-/// cancels requests whose budget elapses mid-funnel through their cursor
-/// members' cancellation tokens.
+/// choosing each member's stages after its probe. Each admitted request's
+/// cancellation token carries its deadline, so the funnel's own polls stop
+/// a request whose budget elapses mid-funnel.
 ///
 /// Overload ladder (in admission order):
 ///  1. accept + enqueue (normal operation);
@@ -85,18 +85,10 @@ struct ServerOptions {
   /// its worst-case response bytes; reservation failure sheds the request
   /// with OutOfMemory.
   MemoryBudget* memory = nullptr;
-  /// Per-query admission cost in bytes; 0 derives it from the dataset size
-  /// (worst-case id list) at Start().
-  size_t request_cost_bytes = 0;
   /// Live ingest: when false (the default), kApplyDelta frames are rejected
   /// with FailedPrecondition before their payload is decoded. Enable only for servers that own their index
   /// lifetime (tind_serve --ingest).
   bool allow_ingest = false;
-  /// Test/chaos hook: minimum gap between a streaming request's partial
-  /// frame and the continuation of its funnel. Lets tests deterministically
-  /// land a deadline (or a kill) between the partial and the final frame.
-  /// 0 (the default) streams at full speed.
-  uint32_t stream_pace_ms = 0;
 };
 
 class TindServer {
@@ -176,7 +168,6 @@ class TindServer {
 
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Connection> conn);
-  void WatcherLoop();
   void BatcherLoop();
 
   void DispatchFrame(const std::shared_ptr<Connection>& conn,
@@ -201,7 +192,9 @@ class TindServer {
   const TindIndex& index_;
   const TindParams params_;
   ServerOptions options_;
-  size_t request_cost_bytes_ = 0;
+  /// Admission bytes reserved per query: its worst-case response (every
+  /// attribute id) plus the queued request, fixed at Start().
+  size_t query_cost_bytes_ = 0;
 
   /// RCU epoch state: readers copy the shared_ptr under epoch_mutex_ (a
   /// pointer copy, never blocking on an apply); ApplyDelta builds the next
@@ -221,7 +214,6 @@ class TindServer {
 
   std::thread accept_thread_;
   std::thread batcher_thread_;
-  std::thread watcher_thread_;
   std::mutex conns_mutex_;
   std::vector<std::thread> reader_threads_;
   std::vector<std::weak_ptr<Connection>> conns_;
@@ -232,16 +224,6 @@ class TindServer {
   /// Admitted but not yet responded (queued + executing); drain waits on 0.
   size_t inflight_ = 0;
   std::condition_variable drain_cv_;
-
-  /// Deadline watcher state: a lazily-pruned min-heap of (due, token).
-  struct DeadlineEntry {
-    std::chrono::steady_clock::time_point due;
-    CancellationToken token;
-    bool operator>(const DeadlineEntry& o) const { return due > o.due; }
-  };
-  std::mutex watcher_mutex_;
-  std::condition_variable watcher_cv_;
-  std::vector<DeadlineEntry> watcher_heap_;
 
   std::atomic<uint64_t> connections_{0};
   std::atomic<uint64_t> connections_rejected_{0};

@@ -20,7 +20,7 @@
 /// branch on the failure class instead of parsing messages:
 ///   * DeadlineExceeded — the caller-supplied poll deadline elapsed before
 ///     any byte of a frame arrived (an idle socket, or a response that is
-///     simply not ready yet — the hedging trigger).
+///     simply not ready yet).
 ///   * IOError — the peer vanished: EOF, ECONNRESET, EPIPE, or a frame that
 ///     *started* but then stalled past the progress timeout (the slow-loris
 ///     signature) or hit EOF mid-frame (truncation).

@@ -394,8 +394,7 @@ void TindIndex::RecheckStage(Group* g) const {
     BitVector& cand = g->candidates[b];
     // Exact required-values recheck to shed Bloom false positives before
     // the expensive temporal validation (Algorithm 1, line 16).
-    const bool recheck = !g->plans[b].skip_recheck;
-    if (recheck && g->forward && !g->required[b].empty()) {
+    if (g->forward && !g->required[b].empty()) {
       const ValueSet& required = g->required[b];
       cand.ForEachSet([&](size_t c) {
         if (!required.IsSubsetOf(
@@ -404,14 +403,13 @@ void TindIndex::RecheckStage(Group* g) const {
         }
       });
     }
-    if (recheck && !g->forward && reverse_usable) {
+    if (!g->forward && reverse_usable) {
       const ValueSet& query_all = g->queries[b]->AllValues();
       cand.ForEachSet([&](size_t c) {
         if (!required_values_[c].IsSubsetOf(query_all)) cand.Clear(c);
       });
     }
     g->stats[b].after_exact_check = cand.Count();
-    g->stats[b].plan_skipped_recheck = g->plans[b].skip_recheck;
   }
 }
 

@@ -96,11 +96,10 @@ struct QueryStats {
   /// fired, or SearchCursor::Abandon): the result list is empty and every
   /// remaining stage was skipped.
   bool cancelled = false;
-  /// Planner decisions (tind/plan.h): true when the cost model skipped the
-  /// corresponding prune stage. Both skips are sound — the final result is
+  /// Planner decision (tind/plan.h): true when the planner skipped the
+  /// usable slice stage. The skip is sound — the final result is
   /// unchanged; only the work distribution across stages moves.
   bool plan_skipped_slices = false;
-  bool plan_skipped_recheck = false;
   double elapsed_ms = 0;
   /// Per-stage wall-time attribution (prefilter probe, slice pruning, exact
   /// recheck, validation). Like elapsed_ms these are timing fields and are

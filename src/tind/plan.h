@@ -6,8 +6,8 @@
 /// Algorithm 1 before exact validation is a *sound prune* — it only removes
 /// attributes that cannot be in the answer — so skipping a prune stage can
 /// never change the final result, only the amount of work stage 4 validates.
-/// A QueryPlan records which optional stages the cost-model planner
-/// (tind/planner.h) decided to skip.
+/// A QueryPlan records whether the planner (tind/planner.h) decided to skip
+/// the slice stage.
 
 #include <cstdint>
 
@@ -20,9 +20,6 @@ struct QueryPlan {
   /// expected validation savings cannot repay the slice probes — typically
   /// tiny candidate sets or queries with no versions in the indexed slices.
   bool skip_slices = false;
-  /// Skip the exact required-values recheck (stage 3); together with
-  /// skip_slices this is "skip straight to validation".
-  bool skip_recheck = false;
 };
 
 /// The four funnel stages plus the terminal state. Values are ordered by

@@ -29,13 +29,7 @@ QueryPlan CostModelPlanner::Plan(const AttributeHistory& query,
     TIND_OBS_COUNTER_ADD("planner/full", 1);
     return plan;
   }
-  if (initial_candidates <= kDirectValidateMax) {
-    plan.skip_slices = true;
-    plan.skip_recheck = true;
-    TIND_OBS_COUNTER_ADD("planner/skip_to_validation", 1);
-    return plan;
-  }
-  if (!HasSliceProbe(query)) {
+  if (initial_candidates <= kSkipSlicesMax || !HasSliceProbe(query)) {
     plan.skip_slices = true;
     TIND_OBS_COUNTER_ADD("planner/skip_slices", 1);
     return plan;

@@ -9,14 +9,14 @@
 ///
 ///  1. query δ above the build δ → the default plan (the slice stage's
 ///     soundness gate skips it anyway);
-///  2. at most kDirectValidateMax candidates → skip slices and recheck,
-///     validate directly;
+///  2. at most kSkipSlicesMax candidates → skip slices;
 ///  3. no query version inside any indexed slice → skip slices;
 ///  4. otherwise the full funnel.
 ///
-/// On serve-8k traffic rule 2 decides about 97% of served queries. Skipping
-/// either stage is sound (tind/plan.h), so a wrong decision costs latency,
-/// never correctness.
+/// On serve-8k traffic rule 2 decides about 97% of served queries. The
+/// exact recheck always runs: it is a cheap subset test that keeps Bloom
+/// false positives away from Algorithm 2. Skipping the slice stage is sound
+/// (tind/plan.h), so a wrong decision costs latency, never correctness.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,15 +35,14 @@ namespace tind {
 /// Plan() is const and thread-safe.
 class CostModelPlanner {
  public:
-  /// Candidate sets at or below this size skip straight to validation:
-  /// even a perfect prune cannot save more than the probes cost.
-  static constexpr size_t kDirectValidateMax = 8;
+  /// Candidate sets at or below this size skip the slice stage: even a
+  /// perfect prune cannot save more than the probes cost.
+  static constexpr size_t kSkipSlicesMax = 8;
 
   explicit CostModelPlanner(const TindIndex& index);
 
   /// Decides the skips for one query given the candidate count after the
-  /// stage-1 probe. Counts each decision in planner/{full,
-  /// skip_to_validation,skip_slices}.
+  /// stage-1 probe. Counts each decision in planner/{full,skip_slices}.
   QueryPlan Plan(const AttributeHistory& query, const TindParams& params,
                  size_t initial_candidates) const;
 

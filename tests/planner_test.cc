@@ -11,9 +11,9 @@
 
 /// \file planner_test.cc
 /// Unit tests for the fixed-rule planner: an over-δ query must get the
-/// default plan, candidate sets of at most 8 must go straight to validation
-/// (and 9 must not), and a query with no version inside any slice must skip
-/// the slice stage.
+/// default plan, candidate sets of at most 8 must skip the slice stage (and
+/// 9 must not), and a query with no version inside any slice must skip it
+/// too.
 
 namespace tind {
 namespace {
@@ -76,20 +76,17 @@ TEST_F(PlannerTest, OverDeltaQueriesGetTheDefaultPlan) {
   const TindParams params{3.0, /*delta=*/100, weight_.get()};
   const QueryPlan plan = planner.Plan(*query_, params, 1000);
   EXPECT_FALSE(plan.skip_slices);
-  EXPECT_FALSE(plan.skip_recheck);
 }
 
-TEST_F(PlannerTest, TinyCandidateSetsSkipStraightToValidation) {
+TEST_F(PlannerTest, TinyCandidateSetsSkipTheSliceStage) {
   const CostModelPlanner planner(*index_);
   const TindParams params{3.0, 7, weight_.get()};
 
   const QueryPlan tiny = planner.Plan(*query_, params, 8);
-  EXPECT_TRUE(tiny.skip_slices);
-  EXPECT_TRUE(tiny.skip_recheck);
+  EXPECT_TRUE(tiny.skip_slices);  // The exact recheck still runs.
 
   const QueryPlan boundary = planner.Plan(*query_, params, 9);
-  EXPECT_FALSE(boundary.skip_slices);   // query_ has slice probes.
-  EXPECT_FALSE(boundary.skip_recheck);  // Only the tiny path skips recheck.
+  EXPECT_FALSE(boundary.skip_slices);  // query_ has slice probes.
 }
 
 TEST_F(PlannerTest, ZeroSliceProbesSkipsTheSliceStage) {
@@ -100,7 +97,6 @@ TEST_F(PlannerTest, ZeroSliceProbesSkipsTheSliceStage) {
   const TindParams params{3.0, 7, weight_.get()};
   const QueryPlan plan = planner.Plan(empty, params, 1000);
   EXPECT_TRUE(plan.skip_slices);
-  EXPECT_FALSE(plan.skip_recheck);
 }
 
 }  // namespace

@@ -16,12 +16,12 @@
 /// \file progressive_differential_test.cc
 /// Differential proof that staged execution is exact: a SearchCursor
 /// stepped to completion must return the same attribute-id list — and the
-/// same QueryStats funnel, including the planner-skip flags — as the
+/// same QueryStats funnel, including the planner-skip flag — as the
 /// monolithic Search / ReverseSearch call with the same QueryPlan, across
 /// the (ε, δ, w) grid, every available SIMD backend, and every plan
-/// (default, skip-slices, skip-recheck, both, planner-chosen). The plan
-/// overloads must in turn agree with the default plan on the final result
-/// list: skipping a prune stage is sound, it can never change the answer.
+/// (default, skip-slices, planner-chosen). The plan overloads must in turn
+/// agree with the default plan on the final result list: skipping a prune
+/// stage is sound, it can never change the answer.
 
 namespace tind {
 namespace {
@@ -40,7 +40,6 @@ void ExpectSameFunnel(const QueryStats& got, const QueryStats& want,
   EXPECT_EQ(got.used_prefilter, want.used_prefilter) << context;
   EXPECT_EQ(got.cancelled, want.cancelled) << context;
   EXPECT_EQ(got.plan_skipped_slices, want.plan_skipped_slices) << context;
-  EXPECT_EQ(got.plan_skipped_recheck, want.plan_skipped_recheck) << context;
 }
 
 wiki::GeneratedDataset MakeCorpus(uint64_t seed) {
@@ -73,10 +72,8 @@ constexpr GridPoint kGrid[] = {
 /// The explicit plans under test. The planner-chosen plan is added at
 /// runtime per query.
 constexpr QueryPlan kPlans[] = {
-    {false, false},  // Default: run every stage.
-    {true, false},   // Skip slice pruning.
-    {false, true},   // Skip the exact recheck.
-    {true, true},    // Skip both prunes: straight to validation.
+    {false},  // Default: run every stage.
+    {true},   // Skip slice pruning.
 };
 
 class ScopedBackend {
@@ -144,8 +141,7 @@ TEST_P(ProgressiveDifferentialTest, CursorMatchesMonolithicExactly) {
               " delta=" + std::to_string(point.delta) +
               (forward ? " forward" : " reverse") + " q=" +
               std::to_string(q) + " skip_slices=" +
-              std::to_string(plan.skip_slices) + " skip_recheck=" +
-              std::to_string(plan.skip_recheck);
+              std::to_string(plan.skip_slices);
 
           QueryStats mono_stats;
           const std::vector<AttributeId> mono =
@@ -262,7 +258,6 @@ TEST(ProgressiveSimdDifferentialTest, BackendsMatchScalar) {
               std::string("backend=") + std::to_string(int(backend)) +
               " q=" + std::to_string(q) +
               " skip_slices=" + std::to_string(plan.skip_slices) +
-              " skip_recheck=" + std::to_string(plan.skip_recheck) +
               (forward ? " forward" : " reverse");
           EXPECT_EQ(cursor.RunToCompletion(), reference[r].ids) << context;
           ExpectSameFunnel(cursor.stats(), reference[r].stats, context);

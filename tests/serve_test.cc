@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "obs/metrics.h"
 #include "scenario/mutate.h"
 #include "serve/client.h"
@@ -68,6 +69,15 @@ class ServeTest : public ::testing::Test {
     auto built = TindIndex::Build(corpus_->dataset, BuildOptions());
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     index_ = std::move(*built);
+  }
+
+  void TearDown() override { FaultInjector::Global().Reset(); }
+
+  /// Every stream then pauses between its partial and its final frame long
+  /// enough for a short deadline or client timeout to land there.
+  void ArmStreamPause() {
+    ASSERT_TRUE(
+        FaultInjector::Global().Configure("serve/stream_pause=1", 1).ok());
   }
 
   TindIndexOptions BuildOptions() const {
@@ -181,6 +191,36 @@ TEST_F(ServeTest, FullQueueShedsWithTypedOverloadAndClientRetries) {
   EXPECT_NE(reply.status().message().find("overloaded"), std::string::npos);
   EXPECT_EQ(client.counters().retries, 2u);  // All attempts were shed.
   EXPECT_GE(server->counters().shed, 3u);
+}
+
+TEST_F(ServeTest, ClientRetriesQueriesButNeverApplyDelta) {
+  // A listening socket nobody serves: the kernel completes every connect
+  // and no reply ever comes, so each attempt times out as a transport error.
+  auto listener = ListenTcp(0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  auto port = LocalPort(*listener);
+  ASSERT_TRUE(port.ok());
+  ClientOptions options;
+  options.port = *port;
+  options.response_timeout_ms = 50;
+  options.max_attempts = 3;
+  options.backoff.initial_us = 100;
+  options.backoff.max_us = 1000;
+  {
+    TindClient client(options);
+    const Status status = client.ApplyDelta(RevisionDelta{}).status();
+    EXPECT_TRUE(status.IsIOError()) << status.ToString();
+    EXPECT_EQ(client.counters().attempts, 1u);  // Not idempotent.
+    EXPECT_EQ(client.counters().retries, 0u);
+  }
+  {
+    TindClient client(options);
+    const Status status = client.Search(0).status();
+    EXPECT_TRUE(status.IsIOError()) << status.ToString();
+    EXPECT_EQ(client.counters().attempts, 3u);
+    EXPECT_EQ(client.counters().retries, 2u);
+  }
+  CloseFd(*listener);
 }
 
 TEST_F(ServeTest, MemoryBudgetShedsAsOutOfMemory) {
@@ -550,11 +590,12 @@ TEST_F(ServeTest, StreamedAnswersMatchDirectIndexCallsWithSoundPartials) {
 }
 
 TEST_F(ServeTest, StreamDeadlineDegradesToBestStageWithConsent) {
-  // stream_pace_ms holds the funnel between the partial and the final frame
-  // long enough for the 50 ms deadline to fire deterministically mid-stream.
-  ServerOptions options;
-  options.stream_pace_ms = 300;
-  auto server = StartServer(options);
+  if (TIND_FAULT_INJECTION_DISABLED) GTEST_SKIP() << "fault points off";
+  // The stream pause holds the funnel between the partial and the final
+  // frame long enough for the 50 ms deadline to fire deterministically
+  // mid-stream.
+  ArmStreamPause();
+  auto server = StartServer(ServerOptions{});
   ClientOptions client_options = ClientFor(*server);
   client_options.deadline_ms = 50;
   client_options.allow_degraded = true;
@@ -573,9 +614,9 @@ TEST_F(ServeTest, StreamDeadlineDegradesToBestStageWithConsent) {
 }
 
 TEST_F(ServeTest, StreamDeadlineWithoutConsentErrorsAfterPartial) {
-  ServerOptions options;
-  options.stream_pace_ms = 300;
-  auto server = StartServer(options);
+  if (TIND_FAULT_INJECTION_DISABLED) GTEST_SKIP() << "fault points off";
+  ArmStreamPause();
+  auto server = StartServer(ServerOptions{});
   ClientOptions client_options = ClientFor(*server);
   client_options.deadline_ms = 50;  // No degraded consent.
   TindClient client(client_options);
@@ -591,6 +632,19 @@ TEST_F(ServeTest, StreamDeadlineWithoutConsentErrorsAfterPartial) {
   for (const AttributeId id : exact) EXPECT_TRUE(partial.count(id)) << id;
   EXPECT_TRUE(
       WaitUntil([&] { return server->counters().deadline_exceeded >= 1; }));
+
+  // A client timeout after the partial is a transport error, and the
+  // stream is not retried: the caller keeps the superset it holds.
+  ClientOptions impatient_options = ClientFor(*server);
+  impatient_options.response_timeout_ms = 100;
+  impatient_options.max_attempts = 3;
+  TindClient impatient(impatient_options);
+  StreamReply timed_out;
+  const Status timeout_status = impatient.SearchStream(0, &timed_out);
+  EXPECT_TRUE(timeout_status.IsIOError()) << timeout_status.ToString();
+  EXPECT_TRUE(timed_out.got_partial);
+  EXPECT_EQ(impatient.counters().attempts, 1u);
+  EXPECT_EQ(impatient.counters().retries, 0u);
   server->Shutdown();
 }
 

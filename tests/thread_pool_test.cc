@@ -265,5 +265,28 @@ TEST(CancellationTokenTest, SharedState) {
   EXPECT_TRUE(copy.cancelled());
 }
 
+TEST(CancellationTokenTest, DeadlineExpiresTheToken) {
+  using Clock = CancellationToken::Clock;
+  // Fires without Cancel(), and every copy shares the deadline.
+  CancellationToken timed(Clock::now() + std::chrono::milliseconds(20));
+  const CancellationToken copy = timed;
+  EXPECT_FALSE(timed.cancelled());
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_TRUE(copy.cancelled());
+  EXPECT_TRUE(timed.cancelled());
+
+  // A token built without a deadline never expires.
+  const CancellationToken plain;
+  EXPECT_FALSE(plain.cancelled());
+
+  // Cancel() before the deadline wins.
+  CancellationToken early(Clock::now() + std::chrono::hours(1));
+  const CancellationToken early_copy = early;
+  EXPECT_FALSE(early.cancelled());
+  early.Cancel();
+  EXPECT_TRUE(early.cancelled());
+  EXPECT_TRUE(early_copy.cancelled());
+}
+
 }  // namespace
 }  // namespace tind

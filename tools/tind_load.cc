@@ -9,8 +9,7 @@
 /// closed-loop driver would hide by self-throttling. Latency is measured
 /// from each request's *scheduled* arrival. The client layer retries
 /// retryable failures (overload sheds, transport errors) with exponential
-/// backoff + jitter and reconnects after connection loss; --hedge_ms adds
-/// hedged reads.
+/// backoff + jitter and reconnects after connection loss.
 ///
 /// --sweep runs a QPS ladder and reports the knee: the highest offered
 /// rate absorbed with <1% shedding and every request accounted. --json
@@ -94,8 +93,6 @@ int Run(const Flags& flags) {
   load.client.allow_degraded = flags.GetBool("allow_degraded", false);
   load.client.max_attempts =
       static_cast<uint32_t>(flags.GetInt("max_attempts", 5));
-  load.client.hedge_delay_ms =
-      static_cast<uint32_t>(flags.GetInt("hedge_ms", 0));
   load.client.epsilon = flags.GetDouble("eps", 3.0);
   load.client.delta = flags.GetInt("delta", 7);
   load.qps = flags.GetDouble("qps", 200);
