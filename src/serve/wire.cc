@@ -1,8 +1,11 @@
 #include "serve/wire.h"
 
+#include <bit>
 #include <cerrno>
 #include <chrono>
+#include <concepts>
 #include <cstring>
+#include <type_traits>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
@@ -23,81 +26,103 @@ namespace tind::serve {
 
 namespace {
 
-// ---- Little-endian scalar packing ----------------------------------------
-// Explicit byte-at-a-time packing so the wire format is identical across
-// hosts, matching the snapshot format's convention.
+// ---- Field vocabulary ------------------------------------------------------
+// A message's layout is one `Fields(io, message)` list below. The same list
+// encodes (io is a Writer) and decodes (io is a Reader), so the two sides
+// cannot drift apart. Fixed-width fields go little-endian byte by byte so
+// the wire format is identical across hosts, matching the snapshot format's
+// convention.
 
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
+/// The unsigned integer as wide as T, which carries a fixed-width field
+/// (an integer, an enum or an f64) on the wire.
+template <typename T>
+using Bits = std::conditional_t<
+    sizeof(T) == 1, uint8_t,
+    std::conditional_t<sizeof(T) == 2, uint16_t,
+                       std::conditional_t<sizeof(T) == 4, uint32_t,
+                                          uint64_t>>>;
 
-void PutU16(std::string* out, uint16_t v) {
-  PutU8(out, static_cast<uint8_t>(v));
-  PutU8(out, static_cast<uint8_t>(v >> 8));
-}
+/// Appends fields to `out`. Every field returns true so that a field list
+/// reads the same for both directions.
+struct Writer {
+  std::string out;
 
-void PutU32(std::string* out, uint32_t v) {
-  PutU16(out, static_cast<uint16_t>(v));
-  PutU16(out, static_cast<uint16_t>(v >> 16));
-}
+  template <typename T>
+  bool Fixed(const T& v) {
+    const auto bits = std::bit_cast<Bits<T>>(v);
+    for (size_t i = 0; i < sizeof(bits); ++i) {
+      out.push_back(static_cast<char>(bits >> (8 * i)));
+    }
+    return true;
+  }
+  bool String(std::string_view s) {
+    Fixed(static_cast<uint32_t>(s.size()));
+    out.append(s);
+    return true;
+  }
+  /// One byte whose bit i is the i-th flag.
+  template <typename... B>
+  bool Flags(const B&... flags) {
+    uint8_t byte = 0;
+    int bit = 0;
+    ((byte |= static_cast<uint8_t>(flags ? 1u << bit : 0u), ++bit), ...);
+    return Fixed(byte);
+  }
+  /// A u32 count, then each item.
+  template <typename T, typename Each>
+  bool List(const std::vector<T>& items, size_t /*min_bytes*/, Each each) {
+    Fixed(static_cast<uint32_t>(items.size()));
+    for (const T& item : items) each(item);
+    return true;
+  }
+};
 
-void PutU64(std::string* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-void PutF64(std::string* out, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-/// Cursor over a payload; every Get fails cleanly on short input.
+/// Cursor over a payload; every field fails cleanly on short input.
 class Reader {
  public:
   explicit Reader(std::string_view bytes) : bytes_(bytes) {}
 
-  bool GetU8(uint8_t* v) {
-    if (bytes_.size() < 1) return false;
-    *v = static_cast<uint8_t>(bytes_[0]);
-    bytes_.remove_prefix(1);
+  template <typename T>
+  bool Fixed(T& v) {
+    if (bytes_.size() < sizeof(T)) return false;
+    Bits<T> bits = 0;
+    for (size_t i = sizeof(T); i-- > 0;) {  // Most significant byte first.
+      bits = static_cast<Bits<T>>(bits << 8 | static_cast<uint8_t>(bytes_[i]));
+    }
+    bytes_.remove_prefix(sizeof(T));
+    v = std::bit_cast<T>(bits);
     return true;
   }
-  bool GetU16(uint16_t* v) {
-    uint8_t lo = 0, hi = 0;
-    if (!GetU8(&lo) || !GetU8(&hi)) return false;
-    *v = static_cast<uint16_t>(lo | (static_cast<uint16_t>(hi) << 8));
+  bool String(std::string& s) {
+    uint32_t length = 0;
+    if (!Fixed(length) || bytes_.size() < length) return false;
+    s.assign(bytes_.substr(0, length));
+    bytes_.remove_prefix(length);
     return true;
   }
-  bool GetU32(uint32_t* v) {
-    uint16_t lo = 0, hi = 0;
-    if (!GetU16(&lo) || !GetU16(&hi)) return false;
-    *v = lo | (static_cast<uint32_t>(hi) << 16);
+  /// Rejects a set bit beyond the flags listed: undefined bits are
+  /// reserved, not ignored.
+  template <typename... B>
+  bool Flags(B&... flags) {
+    uint8_t byte = 0;
+    if (!Fixed(byte) || (byte >> sizeof...(B)) != 0) return false;
+    int bit = 0;
+    ((flags = ((byte >> bit++) & 1) != 0), ...);
     return true;
   }
-  bool GetU64(uint64_t* v) {
-    uint32_t lo = 0, hi = 0;
-    if (!GetU32(&lo) || !GetU32(&hi)) return false;
-    *v = lo | (static_cast<uint64_t>(hi) << 32);
+  /// Reads a u32 count and rejects it unless `count` items of at least
+  /// `min_bytes` each fit in what remains, so reserve(count) never trusts
+  /// the peer.
+  template <typename T, typename Each>
+  bool List(std::vector<T>& items, size_t min_bytes, Each each) {
+    uint32_t count = 0;
+    if (!Fixed(count) || count > bytes_.size() / min_bytes) return false;
+    items.clear();
+    items.reserve(count);
+    for (uint32_t i = 0; i < count; ++i) {
+      if (!each(items.emplace_back())) return false;
+    }
     return true;
-  }
-  bool GetF64(double* v) {
-    uint64_t bits = 0;
-    if (!GetU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-  bool GetBytes(size_t n, std::string_view* out) {
-    if (bytes_.size() < n) return false;
-    *out = bytes_.substr(0, n);
-    bytes_.remove_prefix(n);
-    return true;
-  }
-  /// Reads a u32 element count and rejects it unless `count` elements of
-  /// at least `min_bytes` each fit in what remains, so a caller may
-  /// reserve(count) without trusting the peer.
-  bool GetCount(size_t min_bytes, uint32_t* count) {
-    return GetU32(count) && *count <= bytes_.size() / min_bytes;
   }
   bool empty() const { return bytes_.empty(); }
 
@@ -105,8 +130,113 @@ class Reader {
   std::string_view bytes_;
 };
 
-Status Malformed(const std::string& what) {
-  return Status::InvalidArgument("malformed " + what + " payload");
+/// A T that is an M: const when encoding, mutable when decoding.
+template <typename T, typename M>
+concept Is = std::same_as<std::remove_const_t<T>, M>;
+
+// ---- Field lists, in wire order ------------------------------------------
+
+bool Fields(auto& io, Is<FrameHeader> auto& h) {
+  return io.Fixed(h.magic) && io.Fixed(h.version) && io.Fixed(h.type) &&
+         io.Fixed(h.flags) && io.Fixed(h.request_id) &&
+         io.Fixed(h.payload_bytes) && io.Fixed(h.crc32);
+}
+
+/// `more` are flag bits after allow_degraded: the stream request is this
+/// layout with `reverse` in bit 1.
+bool Fields(auto& io, Is<SearchRequest> auto& r, auto&... more) {
+  return io.Fixed(r.attribute) && io.Fixed(r.window_end) &&
+         io.Fixed(r.epsilon) && io.Fixed(r.delta) && io.Fixed(r.deadline_ms) &&
+         io.Flags(r.allow_degraded, more...);
+}
+
+bool Fields(auto& io, Is<SearchStreamRequest> auto& r) {
+  return Fields(io, r.base, r.reverse);
+}
+
+bool IdList(auto& io, auto& ids) {
+  return io.List(ids, 4, [&](auto& id) { return io.Fixed(id); });
+}
+
+bool Fields(auto& io, Is<SearchResponse> auto& r) {
+  return io.Flags(r.degraded) && IdList(io, r.ids);
+}
+
+bool Fields(auto& io, Is<SearchPartial> auto& p) {
+  return io.Fixed(p.stage) && IdList(io, p.ids);
+}
+
+bool Fields(auto& io, Is<DiscoveryResponse> auto& r) {
+  return io.Flags(r.degraded) &&
+         io.List(r.pairs, 8, [&](auto& pair) {
+           return io.Fixed(pair.lhs) && io.Fixed(pair.rhs);
+         });
+}
+
+/// A value list: u32 count, then length-prefixed strings (4 bytes minimum).
+bool ValueList(auto& io, auto& values) {
+  return io.List(values, 4, [&](auto& value) { return io.String(value); });
+}
+
+bool Fields(auto& io, Is<RevisionOp> auto& op) {
+  if (!io.Fixed(op.kind)) return false;
+  switch (op.kind) {
+    case RevisionOp::Kind::kAppendVersion:
+      return io.Fixed(op.attribute) && io.Fixed(op.timestamp) &&
+             ValueList(io, op.values);
+    case RevisionOp::Kind::kAddAttribute:
+      // A seeded version is at least a timestamp and a value count.
+      return io.String(op.meta.page) && io.String(op.meta.table) &&
+             io.String(op.meta.column) &&
+             io.List(op.versions, 12, [&](auto& version) {
+               return io.Fixed(version.first) && ValueList(io, version.second);
+             });
+    case RevisionOp::Kind::kRetireAttribute:
+      return io.Fixed(op.attribute) && io.Fixed(op.timestamp);
+  }
+  return false;  // A kind byte no op has.
+}
+
+bool Fields(auto& io, Is<RevisionDelta> auto& delta) {
+  // The smallest op (retire) is 13 bytes: kind, attribute, timestamp.
+  return io.List(delta.ops, 13, [&](auto& op) { return Fields(io, op); });
+}
+
+bool Fields(auto& io, Is<ApplyDeltaResponse> auto& r) {
+  return io.Fixed(r.sequence) && io.Fixed(r.attributes_touched) &&
+         io.Fixed(r.attributes_added) && io.Fixed(r.attributes_retired) &&
+         io.Fixed(r.versions_appended) && io.Fixed(r.slices_patched) &&
+         io.Fixed(r.slices_skipped) && io.Fixed(r.slices_rebuilt) &&
+         io.Fixed(r.columns_reset);
+}
+
+/// kError payload: the Status taxonomy as (u8 code, message).
+struct ErrorPayload {
+  StatusCode code = StatusCode::kOk;
+  std::string message;
+};
+
+bool Fields(auto& io, Is<ErrorPayload> auto& e) {
+  return io.Fixed(e.code) && io.String(e.message);
+}
+
+template <typename M>
+std::string Encode(const M& message) {
+  Writer writer;
+  Fields(writer, message);
+  return std::move(writer.out);
+}
+
+/// Decodes `payload` as exactly one M; anything else is "malformed <what>".
+template <typename M>
+Result<M> Decode(std::string_view payload, const char* what) {
+  Reader reader(payload);
+  M message;
+  if (!Fields(reader, message) || !reader.empty()) {
+    return Status::InvalidArgument(std::string("malformed ") + what +
+                                   " payload");
+  }
+  return message;
 }
 
 }  // namespace
@@ -127,22 +257,22 @@ bool IsRequestType(MessageType type) {
 
 std::string EncodeFrame(MessageType type, uint64_t request_id,
                         std::string_view payload) {
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  PutU32(&out, kFrameMagic);
-  PutU8(&out, kWireVersion);
-  PutU8(&out, static_cast<uint8_t>(type));
-  PutU16(&out, 0);  // flags (reserved)
-  PutU64(&out, request_id);
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  // CRC over the header-so-far plus the payload; the CRC field itself is
-  // not covered (it is appended after).
+  const FrameHeader header{
+      .type = type,
+      .request_id = request_id,
+      .payload_bytes = static_cast<uint32_t>(payload.size())};
+  Writer writer;
+  writer.out.reserve(kFrameHeaderBytes + payload.size());
+  Fields(writer, header);
+  // The CRC covers header bytes [0, 20) plus the payload; it replaces the
+  // zero written for its own field.
+  writer.out.resize(kFrameHeaderBytes - 4);
   Crc32 crc;
-  crc.Update(out);
+  crc.Update(writer.out);
   crc.Update(payload);
-  PutU32(&out, crc.value());
-  out.append(payload);
-  return out;
+  writer.Fixed(crc.value());
+  writer.out.append(payload);
+  return std::move(writer.out);
 }
 
 Result<FrameHeader> DecodeFrameHeader(std::string_view bytes) {
@@ -154,21 +284,17 @@ Result<FrameHeader> DecodeFrameHeader(std::string_view bytes) {
   }
   Reader reader(bytes);
   FrameHeader header;
-  uint8_t type = 0;
-  reader.GetU32(&header.magic);
-  reader.GetU8(&header.version);
-  reader.GetU8(&type);
-  reader.GetU16(&header.flags);
-  reader.GetU64(&header.request_id);
-  reader.GetU32(&header.payload_bytes);
-  reader.GetU32(&header.crc32);
-  header.type = static_cast<MessageType>(type);
+  Fields(reader, header);  // Cannot run short: the size was checked above.
   if (header.magic != kFrameMagic) {
     return Status::InvalidArgument("bad frame magic");
   }
   if (header.version != kWireVersion) {
     return Status::InvalidArgument("unsupported wire version " +
                                    std::to_string(header.version));
+  }
+  if (header.flags != 0) {
+    return Status::InvalidArgument("reserved frame flags set: " +
+                                   std::to_string(header.flags));
   }
   if (header.payload_bytes > kMaxPayloadBytes) {
     return Status::InvalidArgument(
@@ -193,334 +319,46 @@ Status VerifyFrameCrc(const FrameHeader& header, std::string_view header_bytes,
 }
 
 // ---- Message payloads ----------------------------------------------------
+// Every public pair is its message's Encode and Decode; no payload has code
+// of its own beyond its Fields list.
 
-std::string EncodeSearchRequest(const SearchRequest& request) {
-  std::string out;
-  PutU32(&out, request.attribute);
-  PutU32(&out, request.window_end);
-  PutF64(&out, request.epsilon);
-  PutU64(&out, static_cast<uint64_t>(request.delta));
-  PutU32(&out, request.deadline_ms);
-  PutU8(&out, request.allow_degraded ? 1 : 0);
-  return out;
-}
-
-Result<SearchRequest> DecodeSearchRequest(std::string_view payload) {
-  Reader reader(payload);
-  SearchRequest request;
-  uint64_t delta_bits = 0;
-  uint8_t flags = 0;
-  if (!reader.GetU32(&request.attribute) || !reader.GetU32(&request.window_end) ||
-      !reader.GetF64(&request.epsilon) || !reader.GetU64(&delta_bits) ||
-      !reader.GetU32(&request.deadline_ms) || !reader.GetU8(&flags) ||
-      !reader.empty()) {
-    return Malformed("search request");
+#define TIND_WIRE_PAYLOAD(M, EncodeName, DecodeName, what)             \
+  std::string EncodeName(const M& message) { return Encode(message); } \
+  Result<M> DecodeName(std::string_view payload) {                     \
+    return Decode<M>(payload, what);                                   \
   }
-  request.delta = static_cast<int64_t>(delta_bits);
-  request.allow_degraded = (flags & 1) != 0;
-  return request;
-}
 
-std::string EncodeSearchResponse(const SearchResponse& response) {
-  std::string out;
-  PutU8(&out, response.degraded ? 1 : 0);
-  PutU32(&out, static_cast<uint32_t>(response.ids.size()));
-  for (AttributeId id : response.ids) PutU32(&out, id);
-  return out;
-}
+TIND_WIRE_PAYLOAD(SearchRequest, EncodeSearchRequest, DecodeSearchRequest,
+                  "search request")
+TIND_WIRE_PAYLOAD(SearchStreamRequest, EncodeSearchStreamRequest,
+                  DecodeSearchStreamRequest, "search stream request")
+TIND_WIRE_PAYLOAD(SearchResponse, EncodeSearchResponse, DecodeSearchResponse,
+                  "search response")
+TIND_WIRE_PAYLOAD(SearchPartial, EncodeSearchPartial, DecodeSearchPartial,
+                  "search partial")
+TIND_WIRE_PAYLOAD(DiscoveryResponse, EncodeDiscoveryResponse,
+                  DecodeDiscoveryResponse, "discovery response")
+TIND_WIRE_PAYLOAD(RevisionDelta, EncodeApplyDeltaRequest,
+                  DecodeApplyDeltaRequest, "apply-delta request")
+TIND_WIRE_PAYLOAD(ApplyDeltaResponse, EncodeApplyDeltaResponse,
+                  DecodeApplyDeltaResponse, "apply-delta response")
 
-Result<SearchResponse> DecodeSearchResponse(std::string_view payload) {
-  Reader reader(payload);
-  SearchResponse response;
-  uint8_t flags = 0;
-  uint32_t count = 0;
-  if (!reader.GetU8(&flags) || !reader.GetCount(4, &count)) {
-    return Malformed("search response");
-  }
-  response.degraded = (flags & 1) != 0;
-  response.ids.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    AttributeId id = 0;
-    if (!reader.GetU32(&id)) return Malformed("search response");
-    response.ids.push_back(id);
-  }
-  if (!reader.empty()) return Malformed("search response");
-  return response;
-}
-
-std::string EncodeSearchStreamRequest(const SearchStreamRequest& request) {
-  std::string out;
-  PutU32(&out, request.base.attribute);
-  PutU32(&out, request.base.window_end);
-  PutF64(&out, request.base.epsilon);
-  PutU64(&out, static_cast<uint64_t>(request.base.delta));
-  PutU32(&out, request.base.deadline_ms);
-  uint8_t flags = request.base.allow_degraded ? 1 : 0;
-  if (request.reverse) flags |= 2;
-  PutU8(&out, flags);
-  return out;
-}
-
-Result<SearchStreamRequest> DecodeSearchStreamRequest(
-    std::string_view payload) {
-  Reader reader(payload);
-  SearchStreamRequest request;
-  uint64_t delta_bits = 0;
-  uint8_t flags = 0;
-  if (!reader.GetU32(&request.base.attribute) ||
-      !reader.GetU32(&request.base.window_end) ||
-      !reader.GetF64(&request.base.epsilon) || !reader.GetU64(&delta_bits) ||
-      !reader.GetU32(&request.base.deadline_ms) || !reader.GetU8(&flags) ||
-      !reader.empty()) {
-    return Malformed("search stream request");
-  }
-  request.base.delta = static_cast<int64_t>(delta_bits);
-  request.base.allow_degraded = (flags & 1) != 0;
-  request.reverse = (flags & 2) != 0;
-  return request;
-}
-
-std::string EncodeSearchPartial(const SearchPartial& partial) {
-  std::string out;
-  PutU8(&out, partial.stage);
-  PutU32(&out, static_cast<uint32_t>(partial.ids.size()));
-  for (AttributeId id : partial.ids) PutU32(&out, id);
-  return out;
-}
-
-Result<SearchPartial> DecodeSearchPartial(std::string_view payload) {
-  Reader reader(payload);
-  SearchPartial partial;
-  uint32_t count = 0;
-  if (!reader.GetU8(&partial.stage) || !reader.GetCount(4, &count)) {
-    return Malformed("search partial");
-  }
-  partial.ids.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    AttributeId id = 0;
-    if (!reader.GetU32(&id)) return Malformed("search partial");
-    partial.ids.push_back(id);
-  }
-  if (!reader.empty()) return Malformed("search partial");
-  return partial;
-}
-
-std::string EncodeDiscoveryResponse(const DiscoveryResponse& response) {
-  std::string out;
-  PutU8(&out, response.degraded ? 1 : 0);
-  PutU32(&out, static_cast<uint32_t>(response.pairs.size()));
-  for (const TindPair& pair : response.pairs) {
-    PutU32(&out, pair.lhs);
-    PutU32(&out, pair.rhs);
-  }
-  return out;
-}
-
-Result<DiscoveryResponse> DecodeDiscoveryResponse(std::string_view payload) {
-  Reader reader(payload);
-  DiscoveryResponse response;
-  uint8_t flags = 0;
-  uint32_t count = 0;
-  if (!reader.GetU8(&flags) || !reader.GetCount(8, &count)) {
-    return Malformed("discovery response");
-  }
-  response.degraded = (flags & 1) != 0;
-  response.pairs.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    TindPair pair{0, 0};
-    if (!reader.GetU32(&pair.lhs) || !reader.GetU32(&pair.rhs)) {
-      return Malformed("discovery response");
-    }
-    response.pairs.push_back(pair);
-  }
-  if (!reader.empty()) return Malformed("discovery response");
-  return response;
-}
-
-namespace {
-
-void PutString(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-bool GetString(Reader* reader, std::string* out) {
-  uint32_t length = 0;
-  std::string_view bytes;
-  if (!reader->GetU32(&length) || !reader->GetBytes(length, &bytes)) {
-    return false;
-  }
-  out->assign(bytes);
-  return true;
-}
-
-void PutValueList(std::string* out, const std::vector<std::string>& values) {
-  PutU32(out, static_cast<uint32_t>(values.size()));
-  for (const std::string& v : values) PutString(out, v);
-}
-
-bool GetValueList(Reader* reader, std::vector<std::string>* out) {
-  uint32_t count = 0;
-  if (!reader->GetCount(4, &count)) return false;  // u32 length per value.
-  out->clear();
-  out->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string value;
-    if (!GetString(reader, &value)) return false;
-    out->push_back(std::move(value));
-  }
-  return true;
-}
-
-}  // namespace
-
-std::string EncodeApplyDeltaRequest(const RevisionDelta& delta) {
-  std::string out;
-  PutU32(&out, static_cast<uint32_t>(delta.ops.size()));
-  for (const RevisionOp& op : delta.ops) {
-    PutU8(&out, static_cast<uint8_t>(op.kind));
-    switch (op.kind) {
-      case RevisionOp::Kind::kAppendVersion:
-        PutU32(&out, op.attribute);
-        PutU64(&out, static_cast<uint64_t>(op.timestamp));
-        PutValueList(&out, op.values);
-        break;
-      case RevisionOp::Kind::kAddAttribute:
-        PutString(&out, op.meta.page);
-        PutString(&out, op.meta.table);
-        PutString(&out, op.meta.column);
-        PutU32(&out, static_cast<uint32_t>(op.versions.size()));
-        for (const auto& [t, values] : op.versions) {
-          PutU64(&out, static_cast<uint64_t>(t));
-          PutValueList(&out, values);
-        }
-        break;
-      case RevisionOp::Kind::kRetireAttribute:
-        PutU32(&out, op.attribute);
-        PutU64(&out, static_cast<uint64_t>(op.timestamp));
-        break;
-    }
-  }
-  return out;
-}
-
-Result<RevisionDelta> DecodeApplyDeltaRequest(std::string_view payload) {
-  Reader reader(payload);
-  RevisionDelta delta;
-  uint32_t num_ops = 0;
-  // The smallest op (retire) is 13 bytes: kind, attribute, timestamp.
-  if (!reader.GetCount(13, &num_ops)) {
-    return Malformed("apply-delta request");
-  }
-  delta.ops.reserve(num_ops);
-  for (uint32_t i = 0; i < num_ops; ++i) {
-    uint8_t kind = 0;
-    if (!reader.GetU8(&kind)) return Malformed("apply-delta request");
-    RevisionOp op;
-    uint64_t timestamp_bits = 0;
-    switch (kind) {
-      case static_cast<uint8_t>(RevisionOp::Kind::kAppendVersion):
-        op.kind = RevisionOp::Kind::kAppendVersion;
-        if (!reader.GetU32(&op.attribute) || !reader.GetU64(&timestamp_bits) ||
-            !GetValueList(&reader, &op.values)) {
-          return Malformed("apply-delta request");
-        }
-        op.timestamp = static_cast<Timestamp>(timestamp_bits);
-        break;
-      case static_cast<uint8_t>(RevisionOp::Kind::kAddAttribute): {
-        op.kind = RevisionOp::Kind::kAddAttribute;
-        uint32_t num_versions = 0;
-        if (!GetString(&reader, &op.meta.page) ||
-            !GetString(&reader, &op.meta.table) ||
-            !GetString(&reader, &op.meta.column) ||
-            !reader.GetCount(12, &num_versions)) {  // Timestamp + count.
-          return Malformed("apply-delta request");
-        }
-        op.versions.reserve(num_versions);
-        for (uint32_t v = 0; v < num_versions; ++v) {
-          std::vector<std::string> values;
-          if (!reader.GetU64(&timestamp_bits) ||
-              !GetValueList(&reader, &values)) {
-            return Malformed("apply-delta request");
-          }
-          op.versions.emplace_back(static_cast<Timestamp>(timestamp_bits),
-                                   std::move(values));
-        }
-        break;
-      }
-      case static_cast<uint8_t>(RevisionOp::Kind::kRetireAttribute):
-        op.kind = RevisionOp::Kind::kRetireAttribute;
-        if (!reader.GetU32(&op.attribute) || !reader.GetU64(&timestamp_bits)) {
-          return Malformed("apply-delta request");
-        }
-        op.timestamp = static_cast<Timestamp>(timestamp_bits);
-        break;
-      default:
-        return Malformed("apply-delta request");
-    }
-    delta.ops.push_back(std::move(op));
-  }
-  if (!reader.empty()) return Malformed("apply-delta request");
-  return delta;
-}
-
-std::string EncodeApplyDeltaResponse(const ApplyDeltaResponse& response) {
-  std::string out;
-  PutU64(&out, response.sequence);
-  PutU32(&out, response.attributes_touched);
-  PutU32(&out, response.attributes_added);
-  PutU32(&out, response.attributes_retired);
-  PutU32(&out, response.versions_appended);
-  PutU32(&out, response.slices_patched);
-  PutU32(&out, response.slices_skipped);
-  PutU32(&out, response.slices_rebuilt);
-  PutU32(&out, response.columns_reset);
-  return out;
-}
-
-Result<ApplyDeltaResponse> DecodeApplyDeltaResponse(std::string_view payload) {
-  Reader reader(payload);
-  ApplyDeltaResponse response;
-  if (!reader.GetU64(&response.sequence) ||
-      !reader.GetU32(&response.attributes_touched) ||
-      !reader.GetU32(&response.attributes_added) ||
-      !reader.GetU32(&response.attributes_retired) ||
-      !reader.GetU32(&response.versions_appended) ||
-      !reader.GetU32(&response.slices_patched) ||
-      !reader.GetU32(&response.slices_skipped) ||
-      !reader.GetU32(&response.slices_rebuilt) ||
-      !reader.GetU32(&response.columns_reset) || !reader.empty()) {
-    return Malformed("apply-delta response");
-  }
-  return response;
-}
+#undef TIND_WIRE_PAYLOAD
 
 std::string EncodeErrorResponse(const Status& status) {
-  std::string out;
-  PutU8(&out, static_cast<uint8_t>(status.code()));
-  const std::string& message = status.message();
-  PutU32(&out, static_cast<uint32_t>(message.size()));
-  out.append(message);
-  return out;
+  return Encode(ErrorPayload{status.code(), status.message()});
 }
 
 Status DecodeErrorResponse(std::string_view payload) {
-  Reader reader(payload);
-  uint8_t code = 0;
-  uint32_t length = 0;
-  std::string_view message;
-  if (!reader.GetU8(&code) || !reader.GetU32(&length) ||
-      !reader.GetBytes(length, &message) || !reader.empty()) {
-    return Malformed("error response");
-  }
-  const StatusCode status_code = static_cast<StatusCode>(code);
-  if (status_code == StatusCode::kOk ||
-      status_code > StatusCode::kDeadlineExceeded) {
+  TIND_ASSIGN_OR_RETURN(ErrorPayload error,
+                        Decode<ErrorPayload>(payload, "error response"));
+  if (error.code == StatusCode::kOk ||
+      error.code > StatusCode::kDeadlineExceeded) {
     return Status::Internal("peer sent an error frame with code " +
-                            std::to_string(code) + ": " +
-                            std::string(message));
+                            std::to_string(static_cast<int>(error.code)) +
+                            ": " + error.message);
   }
-  return Status(status_code, std::string(message));
+  return Status(error.code, std::move(error.message));
 }
 
 // ---- Sockets -------------------------------------------------------------

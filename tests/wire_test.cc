@@ -9,8 +9,9 @@
 
 /// \file wire_test.cc
 /// The serving wire protocol: frame encode/decode round-trips, corruption
-/// rejection (bad magic, version, oversize, CRC bit flips), payload codec
-/// round-trips, and the socket helpers' typed error taxonomy (idle
+/// rejection (bad magic, version, reserved flags, oversize, CRC bit flips),
+/// payload codec round-trips, undefined flag bits, the pinned bytes of every
+/// encoder, and the socket helpers' typed error taxonomy (idle
 /// DeadlineExceeded vs slow-loris/truncation IOError).
 
 namespace tind::serve {
@@ -63,6 +64,19 @@ TEST(WireFrameTest, RejectsBadMagicVersionAndOversize) {
                   .status()
                   .IsInvalidArgument());
   EXPECT_TRUE(DecodeFrameHeader("short").status().IsInvalidArgument());
+}
+
+TEST(WireFrameTest, RejectsReservedHeaderFlags) {
+  // Header bytes [6, 8) are the reserved flags u16; every encoder writes 0.
+  for (const size_t at : {6, 7}) {
+    std::string frame = EncodeFrame(MessageType::kPing, 1, "");
+    frame[at] = 1;
+    EXPECT_TRUE(DecodeFrameHeader(std::string_view(frame)
+                                      .substr(0, kFrameHeaderBytes))
+                    .status()
+                    .IsInvalidArgument())
+        << "flags byte " << at;
+  }
 }
 
 TEST(WireFrameTest, EveryBitFlipFailsTheCrc) {
@@ -142,6 +156,153 @@ TEST(WirePayloadTest, ErrorResponseCarriesTheStatusTaxonomy) {
     EXPECT_EQ(decoded.message(), status.message());
   }
   EXPECT_TRUE(DecodeErrorResponse("x").IsInvalidArgument());
+}
+
+std::string Hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    out.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+    out.push_back(kDigits[static_cast<uint8_t>(c) & 15]);
+  }
+  return out;
+}
+
+TEST(WireGoldenTest, EveryEncoderMatchesPinnedBytes) {
+  // Round trips cannot catch a layout change made on both sides at once;
+  // these strings pin the bytes every encoder puts on the wire.
+  SearchRequest request;
+  request.attribute = 17;
+  request.window_end = 25;
+  request.epsilon = 2.75;
+  request.delta = -3;
+  request.deadline_ms = 150;
+  request.allow_degraded = true;
+  SearchStreamRequest forward;
+  forward.base = request;
+  SearchStreamRequest reverse;
+  reverse.reverse = true;
+
+  SearchResponse response;
+  response.degraded = true;
+  response.ids = {1, 5, 9, 100000};
+  SearchPartial partial;
+  partial.stage = 2;
+  partial.ids = {2, 3};
+  DiscoveryResponse discovery;
+  discovery.pairs = {{1, 2}, {3, 70000}};
+
+  RevisionDelta delta;
+  RevisionOp append;
+  append.attribute = 7;
+  append.timestamp = -5;
+  append.values = {"Berlin", ""};
+  delta.ops.push_back(append);
+  RevisionOp add;
+  add.kind = RevisionOp::Kind::kAddAttribute;
+  add.meta = {"P", "t", "c"};
+  add.versions = {{0, {"Rome"}}, {12, {}}};
+  delta.ops.push_back(add);
+  RevisionOp retire;
+  retire.kind = RevisionOp::Kind::kRetireAttribute;
+  retire.attribute = 2;
+  retire.timestamp = 99;
+  delta.ops.push_back(retire);
+
+  ApplyDeltaResponse applied;
+  applied.sequence = 0x123456789ull;
+  applied.attributes_touched = 1;
+  applied.attributes_added = 2;
+  applied.attributes_retired = 3;
+  applied.versions_appended = 4;
+  applied.slices_patched = 5;
+  applied.slices_skipped = 6;
+  applied.slices_rebuilt = 7;
+  applied.columns_reset = 8;
+
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {EncodeSearchRequest(SearchRequest{}),
+       "0000000000000000000000000000084007000000000000000000000000"},
+      {EncodeSearchRequest(request),
+       "11000000190000000000000000000640fdffffffffffffff9600000001"},
+      {EncodeSearchStreamRequest(forward),
+       "11000000190000000000000000000640fdffffffffffffff9600000001"},
+      {EncodeSearchStreamRequest(reverse),
+       "0000000000000000000000000000084007000000000000000000000002"},
+      {EncodeSearchResponse(response),
+       "0104000000010000000500000009000000a0860100"},
+      {EncodeSearchPartial(partial), "02020000000200000003000000"},
+      {EncodeDiscoveryResponse(discovery),
+       "000200000001000000020000000300000070110100"},
+      {EncodeApplyDeltaRequest(delta),
+       "03000000"
+       "0007000000fbffffffffffffff02000000060000004265726c696e00000000"
+       "01010000005001000000740100000063"
+       "0200000000000000000000000100000004000000526f6d65"
+       "0c0000000000000000000000"
+       "02020000006300000000000000"},
+      {EncodeApplyDeltaResponse(applied),
+       "8967452301000000"
+       "0100000002000000030000000400000005000000060000000700000008000000"},
+      {EncodeErrorResponse(Status::NotFound("gone")), "0204000000676f6e65"},
+      {EncodeFrame(MessageType::kSearchPartial, 0x0102030405060708ull, "ab"),
+       "54494e4401160000080706050403020102000000736449986162"},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(Hex(cases[i].first), cases[i].second) << "case " << i;
+  }
+}
+
+TEST(WirePayloadTest, UndefinedFlagBitsAreRejected) {
+  // A flag byte carries only the bits its message defines; any other bit
+  // is reserved, so a peer setting one is rejected rather than ignored.
+  std::string search = EncodeSearchRequest(SearchRequest{});
+  search.back() = 2;  // The stream request's `reverse` bit.
+  EXPECT_TRUE(DecodeSearchRequest(search).status().IsInvalidArgument());
+
+  SearchStreamRequest stream;
+  stream.base.allow_degraded = true;
+  stream.reverse = true;
+  std::string stream_bytes = EncodeSearchStreamRequest(stream);
+  ASSERT_TRUE(DecodeSearchStreamRequest(stream_bytes).ok());
+  stream_bytes.back() |= 4;
+  EXPECT_TRUE(
+      DecodeSearchStreamRequest(stream_bytes).status().IsInvalidArgument());
+
+  for (const char flags : {'\x02', '\x80'}) {
+    std::string response = EncodeSearchResponse(SearchResponse{});
+    response[0] = flags;
+    EXPECT_TRUE(DecodeSearchResponse(response).status().IsInvalidArgument());
+    std::string discovery = EncodeDiscoveryResponse(DiscoveryResponse{});
+    discovery[0] = flags;
+    EXPECT_TRUE(
+        DecodeDiscoveryResponse(discovery).status().IsInvalidArgument());
+  }
+}
+
+TEST(WirePayloadTest, CountsAdmitListsOfTheSmallestItems) {
+  // A list's count is bounded by the smallest item it can hold: a retire op
+  // (13 bytes), a seeded version with no values (12), an empty string (4).
+  // A bound taken from a larger item would reject these valid deltas.
+  RevisionDelta retires;
+  for (AttributeId a = 0; a < 3; ++a) {
+    RevisionOp op;
+    op.kind = RevisionOp::Kind::kRetireAttribute;
+    op.attribute = a;
+    retires.ops.push_back(op);
+  }
+  RevisionOp add;
+  add.kind = RevisionOp::Kind::kAddAttribute;
+  add.versions = {{1, {}}, {2, {}}};
+  RevisionOp append;
+  append.values = {"", ""};
+  for (const RevisionDelta& delta :
+       {retires, RevisionDelta{{add}}, RevisionDelta{{append}}}) {
+    const std::string bytes = EncodeApplyDeltaRequest(delta);
+    auto decoded = DecodeApplyDeltaRequest(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(EncodeApplyDeltaRequest(*decoded), bytes);
+  }
 }
 
 /// Four 0xFF bytes: the largest u32 count a peer can claim.

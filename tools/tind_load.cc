@@ -24,7 +24,10 @@
 /// time-to-first-result percentiles.
 ///
 /// Exit status: 0 when every scheduled request reached a terminal outcome
-/// (the zero-hung-requests invariant), 1 otherwise.
+/// (the zero-hung-requests invariant) and none ended in a typed error other
+/// than a shed, a deadline or a transport failure; 1 otherwise. Such an
+/// error means the driver sent bad requests (say, --attributes larger than
+/// the served corpus).
 
 #include <cstdio>
 #include <chrono>
@@ -160,8 +163,10 @@ int Run(const Flags& flags) {
   }
 
   bool all_accounted = true;
+  uint64_t other_errors = 0;
   for (const auto& point : sweep.points) {
     all_accounted = all_accounted && point.report.AllAccounted();
+    other_errors += point.report.other_errors;
   }
   const std::string json_path = flags.GetString("json", "");
   if (!json_path.empty()) {
@@ -178,6 +183,13 @@ int Run(const Flags& flags) {
   }
   if (!all_accounted) {
     std::fprintf(stderr, "FAIL: requests without a terminal outcome\n");
+    return 1;
+  }
+  if (other_errors > 0) {
+    std::fprintf(stderr,
+                 "FAIL: %llu requests ended in an error that is not a shed, "
+                 "deadline or transport failure\n",
+                 static_cast<unsigned long long>(other_errors));
     return 1;
   }
   return 0;
