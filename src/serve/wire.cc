@@ -572,12 +572,12 @@ Result<Frame> RecvFrame(int fd, int first_byte_timeout_ms,
   std::string header_bytes;
   header_bytes.resize(kFrameHeaderBytes);
   size_t got = 0;
-  std::string payload;
+  Frame frame;
   bool reading_header = true;
   for (;;) {
-    char* buffer = reading_header ? header_bytes.data() : payload.data();
+    char* buffer = reading_header ? header_bytes.data() : frame.payload.data();
     const size_t want =
-        reading_header ? kFrameHeaderBytes : payload.size();
+        reading_header ? kFrameHeaderBytes : frame.payload.size();
     const ssize_t n = ::recv(fd, buffer + got, want - got, 0);
     if (n > 0) {
       got += static_cast<size_t>(n);
@@ -603,17 +603,14 @@ Result<Frame> RecvFrame(int fd, int first_byte_timeout_ms,
     if (got < want) continue;
     if (!reading_header) break;
     // Header complete: validate it and size the payload buffer.
-    Frame probe;
-    TIND_ASSIGN_OR_RETURN(probe.header, DecodeFrameHeader(header_bytes));
-    payload.resize(probe.header.payload_bytes);
+    TIND_ASSIGN_OR_RETURN(frame.header, DecodeFrameHeader(header_bytes));
+    frame.payload.resize(frame.header.payload_bytes);
     reading_header = false;
     got = 0;
-    if (payload.empty()) break;
+    if (frame.payload.empty()) break;
   }
-  Frame frame;
-  TIND_ASSIGN_OR_RETURN(frame.header, DecodeFrameHeader(header_bytes));
-  TIND_RETURN_IF_ERROR(VerifyFrameCrc(frame.header, header_bytes, payload));
-  frame.payload = std::move(payload);
+  TIND_RETURN_IF_ERROR(
+      VerifyFrameCrc(frame.header, header_bytes, frame.payload));
   return frame;
 }
 

@@ -58,9 +58,10 @@ struct SnapshotInfo {
 /// FailedPrecondition for version/endianness mismatches.
 Result<SnapshotInfo> ReadSnapshotInfo(const std::string& path);
 
-/// Full integrity pass: structure checks plus the CRC-32 of every section,
-/// including the matrix planes. OK means LoadSnapshot will not reject the
-/// file for corruption (it may still reject it for corpus/weight mismatch).
+/// Full integrity pass: structure checks, the CRC-32 of every section
+/// (matrix planes included), and the same per-section readers LoadSnapshot
+/// runs. OK means LoadSnapshot will not reject the file for corruption (it
+/// may still reject it for corpus/weight mismatch).
 Status VerifySnapshot(const std::string& path);
 
 /// Deterministic 64-bit digest of a dataset's full content: domain,

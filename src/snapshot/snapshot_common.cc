@@ -3,32 +3,6 @@
 
 namespace tind::snapshot {
 
-std::string SectionName(uint32_t id) {
-  switch (id) {
-    case kSectionManifest:
-      return "manifest";
-    case kSectionDictionary:
-      return "dictionary";
-    case kSectionAttributeMeta:
-      return "attribute_meta";
-    case kSectionSliceIntervals:
-      return "slice_intervals";
-    case kSectionRequiredValues:
-      return "required_values";
-    case kSectionMinWeights:
-      return "min_weights";
-    case kSectionMatrixFull:
-      return "matrix_m_t";
-    case kSectionMatrixReverse:
-      return "matrix_m_r";
-    default:
-      if (id >= kSectionMatrixSliceBase) {
-        return "matrix_slice_" + std::to_string(id - kSectionMatrixSliceBase);
-      }
-      return "unknown_" + std::to_string(id);
-  }
-}
-
 uint64_t ComputeCorpusDigest(const Dataset& dataset) {
   uint64_t h = HashUint64(0x74494E44ULL);  // "tIND" seed.
   h = HashCombine(h, static_cast<uint64_t>(dataset.domain().num_timestamps()));

@@ -59,7 +59,8 @@ enum SectionId : uint32_t {
   kSectionMatrixSliceBase = 32, ///< Slice j's planes at id = base + j.
 };
 
-/// Human-readable section name for errors and `tind_snapshot inspect`.
+/// Human-readable section name for errors and `tind_snapshot inspect`, from
+/// the section table (section_table.h).
 std::string SectionName(uint32_t id);
 
 #pragma pack(push, 1)

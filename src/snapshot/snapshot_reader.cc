@@ -2,10 +2,12 @@
 /// TindIndex::LoadSnapshot plus the dataset-free inspection entry points
 /// (ReadSnapshotInfo / VerifySnapshot). The structural ladder is shared:
 /// map → header (magic, CRC, version, endianness, geometry) → section table
-/// (bounds, CRC) → per-section payloads. Only after every rung holds does the
-/// loader wrap the mapped bit planes in borrowed BloomMatrix views — the
-/// kernels then probe the file's pages directly, zero-copy.
+/// (bounds, CRC) → manifest → the section table's per-kind readers
+/// (section_table.cc), which LoadSnapshot and VerifySnapshot run alike.
+/// The matrix readers wrap the mapped bit planes in borrowed BloomMatrix
+/// views — the kernels then probe the file's pages directly, zero-copy.
 
+#include <bit>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -13,31 +15,12 @@
 
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
-#include "snapshot/mapped_file.h"
+#include "snapshot/section_table.h"
 #include "snapshot/snapshot.h"
-#include "snapshot/snapshot_format.h"
 #include "tind/index.h"
 
 namespace tind::snapshot {
 
-namespace {
-
-/// Mapped file with its decoded header and section table; the raw payload
-/// bytes stay in the mapping.
-struct ParsedSnapshot {
-  std::shared_ptr<MappedFile> file;
-  FileHeader header;
-  std::vector<SectionEntry> table;
-
-  const uint8_t* SectionData(const SectionEntry& entry) const {
-    return file->data() + entry.offset;
-  }
-};
-
-/// Header + section-table ladder. Every exit is a typed error: NotFound for
-/// a missing file, IOError for anything structurally wrong with the bytes,
-/// FailedPrecondition for a well-formed file this build cannot consume
-/// (format version, endianness, word size).
 Result<ParsedSnapshot> ParseStructure(const std::string& path) {
   ParsedSnapshot parsed;
   TIND_ASSIGN_OR_RETURN(parsed.file, MappedFile::Open(path));
@@ -104,43 +87,43 @@ Result<ParsedSnapshot> ParseStructure(const std::string& path) {
   return parsed;
 }
 
-const SectionEntry* FindSection(const ParsedSnapshot& parsed, uint32_t id) {
-  for (const SectionEntry& entry : parsed.table) {
+const SectionEntry* ParsedSnapshot::Find(uint32_t id) const {
+  for (const SectionEntry& entry : table) {
     if (entry.id == id) return &entry;
   }
   return nullptr;
 }
 
-Status CheckSectionCrc(const ParsedSnapshot& parsed,
-                       const SectionEntry& entry) {
-  const uint32_t crc = Crc32Of(std::string_view(
-      reinterpret_cast<const char*>(parsed.SectionData(entry)), entry.size));
-  if (crc != entry.crc32) {
+Status ParsedSnapshot::CheckCrc(const SectionEntry& entry) const {
+  if (Crc32Of(Payload(entry)) != entry.crc32) {
     return Status::IOError("section " + SectionName(entry.id) +
-                           " CRC mismatch in " + parsed.file->path() +
+                           " CRC mismatch in " + file->path() +
                            " (payload corrupt)");
   }
   return Status::OK();
 }
 
-struct Manifest {
-  ManifestFixed fixed;
-  std::string weight_description;
-  std::string producer;
-};
-
-/// Reconstructs the TindIndexOptions the manifest describes. `weight` and
-/// `memory` are left null; epsilon is restored from its exact bit pattern.
 Result<TindIndexOptions> OptionsFromManifest(const ManifestFixed& m) {
+  // Build's own preconditions, which the matrix readers rely on, and a
+  // width bound: planes over zero columns hold no bytes, so nothing else
+  // bounds the plane views a reader allocates, and no build can have
+  // allocated 2^32 of them.
+  if (!IsPowerOfTwo(m.bloom_bits) || m.bloom_bits > (uint64_t{1} << 32) ||
+      m.num_hashes == 0) {
+    return Status::InvalidArgument(
+        "snapshot manifest names " + std::to_string(m.bloom_bits) +
+        " Bloom bits and " + std::to_string(m.num_hashes) + " hashes");
+  }
   TindIndexOptions options;
   options.bloom_bits = m.bloom_bits;
   options.num_hashes = m.num_hashes;
   options.num_slices = m.num_slices;
   options.delta = m.delta;
-  std::memcpy(&options.epsilon, &m.epsilon_bits, sizeof(double));
+  options.epsilon = std::bit_cast<double>(m.epsilon_bits);
   if (m.strategy > static_cast<uint32_t>(SliceStrategy::kWeightedRandom)) {
-    return Status::InvalidArgument("snapshot manifest names unknown slice strategy " +
-                                   std::to_string(m.strategy));
+    return Status::InvalidArgument(
+        "snapshot manifest names unknown slice strategy " +
+        std::to_string(m.strategy));
   }
   options.strategy = static_cast<SliceStrategy>(m.strategy);
   options.seed = m.seed;
@@ -151,17 +134,26 @@ Result<TindIndexOptions> OptionsFromManifest(const ManifestFixed& m) {
   return options;
 }
 
+namespace {
+
+struct Manifest {
+  ManifestFixed fixed;
+  std::string weight_description;
+  std::string producer;
+};
+
 /// Parses and self-checks the manifest section. The stored options hash is
 /// recomputed from the decoded fields; with the payload CRC already valid, a
 /// mismatch means the manifest lies about itself → IOError.
 Result<Manifest> ParseManifest(const ParsedSnapshot& parsed) {
-  const SectionEntry* entry = FindSection(parsed, kSectionManifest);
+  const SectionEntry* entry = parsed.Find(SectionTable::Kinds().front().id);
   if (entry == nullptr) {
     return Status::IOError("snapshot " + parsed.file->path() +
                            " has no manifest section");
   }
-  TIND_RETURN_IF_ERROR(CheckSectionCrc(parsed, *entry));
-  ByteReader reader(parsed.SectionData(*entry), entry->size);
+  TIND_RETURN_IF_ERROR(parsed.CheckCrc(*entry));
+  const std::string_view payload = parsed.Payload(*entry);
+  ByteReader reader(payload.data(), payload.size());
   Manifest manifest;
   TIND_RETURN_IF_ERROR(reader.ReadPod(&manifest.fixed, "manifest"));
   TIND_RETURN_IF_ERROR(
@@ -184,56 +176,6 @@ Result<Manifest> ParseManifest(const ParsedSnapshot& parsed) {
   return manifest;
 }
 
-/// Structural validation of one matrix section against the manifest, then a
-/// zero-copy borrowed view over its planes. The planes sit
-/// sizeof(MatrixHeader) == 64 bytes into the (64-byte-aligned) section, so
-/// every plane satisfies the kernels' alignment contract in place.
-Result<BloomMatrix> LoadMatrix(const ParsedSnapshot& parsed,
-                               const SectionEntry& entry,
-                               const ManifestFixed& manifest) {
-  const std::string name = SectionName(entry.id);
-  if (entry.size < sizeof(MatrixHeader)) {
-    return Status::IOError("section " + name + " too short for a matrix header");
-  }
-  MatrixHeader h;
-  std::memcpy(&h, parsed.SectionData(entry), sizeof(MatrixHeader));
-  if (h.num_bits != manifest.bloom_bits) {
-    return Status::IOError("section " + name + " has " +
-                           std::to_string(h.num_bits) +
-                           " bit planes, manifest says " +
-                           std::to_string(manifest.bloom_bits));
-  }
-  if (h.num_columns != manifest.num_attributes) {
-    return Status::IOError("section " + name + " has " +
-                           std::to_string(h.num_columns) +
-                           " columns, manifest says " +
-                           std::to_string(manifest.num_attributes));
-  }
-  if (h.num_hashes != manifest.num_hashes) {
-    return Status::IOError("section " + name + " hash count disagrees with manifest");
-  }
-  const uint64_t row_words = PadWordCount((h.num_columns + 63) / 64);
-  if (h.row_words != row_words ||
-      h.plane_bytes != h.num_bits * row_words * sizeof(uint64_t) ||
-      entry.size != sizeof(MatrixHeader) + h.plane_bytes) {
-    return Status::IOError("section " + name + " geometry is inconsistent");
-  }
-  const uint64_t* planes = reinterpret_cast<const uint64_t*>(
-      parsed.SectionData(entry) + sizeof(MatrixHeader));
-  BloomMatrix matrix = BloomMatrix::FromBorrowedRows(
-      h.num_bits, h.num_hashes, h.num_columns, planes);
-  // Padding words (and the tail bits of the last live word) must be zero —
-  // the SIMD kernels fold them into every probe. Cheap relative to the CRC
-  // pass and kept even when verify_checksums is off.
-  for (size_t r = 0; r < matrix.num_bits(); ++r) {
-    if (!matrix.row(r).PaddingIsZero()) {
-      return Status::IOError("section " + name + " plane " + std::to_string(r) +
-                             " has nonzero padding bits");
-    }
-  }
-  return matrix;
-}
-
 }  // namespace
 
 Result<SnapshotInfo> ReadSnapshotInfo(const std::string& path) {
@@ -253,14 +195,9 @@ Result<SnapshotInfo> ReadSnapshotInfo(const std::string& path) {
   info.epoch_day = manifest.fixed.epoch_day;
   info.dictionary_size = manifest.fixed.dictionary_size;
   info.sections.reserve(parsed.table.size());
-  for (const SectionEntry& entry : parsed.table) {
-    SectionInfo s;
-    s.id = entry.id;
-    s.name = SectionName(entry.id);
-    s.offset = entry.offset;
-    s.size = entry.size;
-    s.crc32 = entry.crc32;
-    info.sections.push_back(std::move(s));
+  for (const SectionEntry& e : parsed.table) {
+    info.sections.push_back(
+        {e.id, SectionName(e.id), e.offset, e.size, e.crc32});
   }
   return info;
 }
@@ -268,17 +205,11 @@ Result<SnapshotInfo> ReadSnapshotInfo(const std::string& path) {
 Status VerifySnapshot(const std::string& path) {
   TIND_ASSIGN_OR_RETURN(const ParsedSnapshot parsed, ParseStructure(path));
   for (const SectionEntry& entry : parsed.table) {
-    TIND_RETURN_IF_ERROR(CheckSectionCrc(parsed, entry));
+    TIND_RETURN_IF_ERROR(parsed.CheckCrc(entry));
   }
   TIND_ASSIGN_OR_RETURN(const Manifest manifest, ParseManifest(parsed));
-  // Matrix geometry must be loadable, not merely checksummed.
-  for (const SectionEntry& entry : parsed.table) {
-    if (entry.id == kSectionMatrixFull || entry.id == kSectionMatrixReverse ||
-        entry.id >= kSectionMatrixSliceBase) {
-      TIND_RETURN_IF_ERROR(LoadMatrix(parsed, entry, manifest.fixed).status());
-    }
-  }
-  return Status::OK();
+  // The loader's own readers, into an index that is then dropped.
+  return SectionTable::Read(parsed, manifest.fixed).status();
 }
 
 }  // namespace tind::snapshot
@@ -288,9 +219,6 @@ namespace tind {
 Result<std::unique_ptr<TindIndex>> TindIndex::LoadSnapshot(
     const Dataset& dataset, const std::string& path,
     const SnapshotLoadOptions& load_options) {
-  using snapshot::ByteReader;
-  using snapshot::SectionEntry;
-
   Stopwatch watch;
   TIND_OBS_SCOPED_TIMER("snapshot_load");
   if (load_options.weight == nullptr) {
@@ -301,8 +229,8 @@ Result<std::unique_ptr<TindIndex>> TindIndex::LoadSnapshot(
   TIND_ASSIGN_OR_RETURN(const snapshot::ParsedSnapshot parsed,
                         snapshot::ParseStructure(path));
   if (load_options.verify_checksums) {
-    for (const SectionEntry& entry : parsed.table) {
-      TIND_RETURN_IF_ERROR(snapshot::CheckSectionCrc(parsed, entry));
+    for (const snapshot::SectionEntry& entry : parsed.table) {
+      TIND_RETURN_IF_ERROR(parsed.CheckCrc(entry));
     }
   }
   TIND_ASSIGN_OR_RETURN(const snapshot::Manifest manifest,
@@ -333,130 +261,11 @@ Result<std::unique_ptr<TindIndex>> TindIndex::LoadSnapshot(
         "shape, different content); rebuild or load the matching corpus");
   }
 
-  auto index = std::unique_ptr<TindIndex>(new TindIndex());
+  TIND_ASSIGN_OR_RETURN(std::unique_ptr<TindIndex> index,
+                        snapshot::SectionTable::Read(parsed, m));
   index->dataset_ = &dataset;
-  TIND_ASSIGN_OR_RETURN(index->options_,
-                        snapshot::OptionsFromManifest(m));
   index->options_.weight = load_options.weight;
   index->options_.memory = load_options.memory;
-  index->has_reverse_ = m.build_reverse_index != 0;
-
-  // Slice intervals.
-  {
-    const SectionEntry* entry =
-        snapshot::FindSection(parsed, snapshot::kSectionSliceIntervals);
-    if (entry == nullptr) {
-      return Status::IOError("snapshot " + path + " has no slice_intervals section");
-    }
-    ByteReader reader(parsed.SectionData(*entry), entry->size);
-    uint64_t count = 0;
-    TIND_RETURN_IF_ERROR(reader.ReadPod(&count, "slice interval count"));
-    if (count > static_cast<uint64_t>(m.num_timestamps)) {
-      return Status::InvalidArgument(
-          "snapshot names " + std::to_string(count) +
-          " slice intervals over a " + std::to_string(m.num_timestamps) +
-          "-timestamp domain");
-    }
-    index->slice_intervals_.reserve(count);
-    for (uint64_t j = 0; j < count; ++j) {
-      int64_t begin = 0;
-      int64_t end = 0;
-      TIND_RETURN_IF_ERROR(reader.ReadPod(&begin, "slice interval begin"));
-      TIND_RETURN_IF_ERROR(reader.ReadPod(&end, "slice interval end"));
-      index->slice_intervals_.push_back(Interval{begin, end});
-    }
-    if (reader.remaining() != 0) {
-      return Status::InvalidArgument(
-          "trailing bytes after slice intervals in " + path);
-    }
-  }
-
-  // Matrices: M_T, one per slice interval, and (optionally) M_R.
-  const auto load_matrix = [&](uint32_t id, BloomMatrix* out) -> Status {
-    const SectionEntry* entry = snapshot::FindSection(parsed, id);
-    if (entry == nullptr) {
-      return Status::IOError("snapshot " + path + " has no " +
-                             snapshot::SectionName(id) + " section");
-    }
-    TIND_ASSIGN_OR_RETURN(*out, snapshot::LoadMatrix(parsed, *entry, m));
-    return Status::OK();
-  };
-  TIND_RETURN_IF_ERROR(
-      load_matrix(snapshot::kSectionMatrixFull, &index->full_matrix_));
-  index->slice_matrices_.resize(index->slice_intervals_.size());
-  for (size_t j = 0; j < index->slice_matrices_.size(); ++j) {
-    TIND_RETURN_IF_ERROR(load_matrix(
-        static_cast<uint32_t>(snapshot::kSectionMatrixSliceBase + j),
-        &index->slice_matrices_[j]));
-  }
-  if (index->has_reverse_) {
-    TIND_RETURN_IF_ERROR(
-        load_matrix(snapshot::kSectionMatrixReverse, &index->reverse_matrix_));
-  }
-
-  // Reverse-stage caches. These restore the exact ValueSets and double bit
-  // patterns Build() computed, so the loaded index's reverse weights and
-  // rechecks are bit-identical without touching the histories.
-  if (index->has_reverse_) {
-    const SectionEntry* entry =
-        snapshot::FindSection(parsed, snapshot::kSectionRequiredValues);
-    if (entry == nullptr) {
-      return Status::IOError("snapshot " + path + " has no required_values section");
-    }
-    ByteReader reader(parsed.SectionData(*entry), entry->size);
-    uint64_t count = 0;
-    TIND_RETURN_IF_ERROR(reader.ReadPod(&count, "required-value set count"));
-    if (count != dataset.size()) {
-      return Status::InvalidArgument(
-          "required_values section covers " + std::to_string(count) +
-          " attributes, dataset has " + std::to_string(dataset.size()));
-    }
-    index->required_values_.reserve(count);
-    for (uint64_t c = 0; c < count; ++c) {
-      uint64_t n = 0;
-      TIND_RETURN_IF_ERROR(reader.ReadPod(&n, "required-value set size"));
-      std::vector<ValueId> values(n);
-      for (uint64_t i = 0; i < n; ++i) {
-        TIND_RETURN_IF_ERROR(reader.ReadPod(&values[i], "required value"));
-        if (i > 0 && values[i] <= values[i - 1]) {
-          return Status::InvalidArgument(
-              "required-value set " + std::to_string(c) +
-              " is not sorted/unique in " + path);
-        }
-      }
-      index->required_values_.push_back(ValueSet::FromSorted(std::move(values)));
-    }
-
-    const SectionEntry* weights_entry =
-        snapshot::FindSection(parsed, snapshot::kSectionMinWeights);
-    if (weights_entry == nullptr) {
-      return Status::IOError("snapshot " + path + " has no min_weights section");
-    }
-    ByteReader wr(parsed.SectionData(*weights_entry), weights_entry->size);
-    uint64_t rows = 0;
-    uint64_t cols = 0;
-    TIND_RETURN_IF_ERROR(wr.ReadPod(&rows, "min-weight slice count"));
-    TIND_RETURN_IF_ERROR(wr.ReadPod(&cols, "min-weight column count"));
-    if (cols != dataset.size() ||
-        rows > index->slice_intervals_.size()) {
-      return Status::InvalidArgument(
-          "min_weights section shape (" + std::to_string(rows) + "x" +
-          std::to_string(cols) + ") is inconsistent in " + path);
-    }
-    index->reverse_min_weights_.resize(rows);
-    for (uint64_t j = 0; j < rows; ++j) {
-      std::vector<double>& row = index->reverse_min_weights_[j];
-      row.resize(cols);
-      for (uint64_t c = 0; c < cols; ++c) {
-        uint64_t bits = 0;
-        TIND_RETURN_IF_ERROR(wr.ReadPod(&bits, "min weight"));
-        std::memcpy(&row[c], &bits, sizeof(double));
-      }
-    }
-    if (wr.remaining() != 0) {
-      return Status::InvalidArgument("trailing bytes after min weights in " + path);
-    }
-  }
 
   // The mapped planes are accounted against the budget exactly like built
   // planes (MemoryUsageBytes reports the same figure for borrowed rows):

@@ -18,9 +18,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "bloom/bloom_matrix.h"
@@ -36,6 +33,9 @@
 namespace tind {
 
 struct UpdateStats;  // tind/update.h — dirty bookkeeping of one ApplyDelta.
+namespace snapshot {
+struct SectionTable;  // snapshot/section_table.h — the *.tsnap section kinds.
+}  // namespace snapshot
 
 /// Build-time configuration of a TindIndex.
 struct TindIndexOptions {
@@ -198,20 +198,20 @@ class TindIndex {
   /// Persists the fully built index as a versioned binary snapshot at
   /// `path` (atomic temp+fsync+rename, per-section CRC-32): bit planes,
   /// slice intervals, required-value/min-weight caches, dictionary, time
-  /// domain, and attribute metadata, under a self-describing manifest.
+  /// domain, and attribute metadata, under a self-describing manifest. The
+  /// sections are the members of the kinds in snapshot/section_table.cc.
   ///
   /// Defined in the tind_snapshot library (src/snapshot/); link it to use.
   Status SaveSnapshot(const std::string& path) const;
 
   /// Incremental re-publication after IndexUpdater::ApplyDelta: writes the
-  /// same artifact SaveSnapshot(path) would — byte for byte — but only
-  /// re-serializes the sections `stats` marks dirty; clean sections (their
-  /// payload bytes and stored CRCs) are copied from `previous_path`, whose
-  /// header, table, and reused-section CRCs are verified first. The section
-  /// table is order-independent at load, so readers cannot tell a compacted
-  /// artifact from a full save. Atomic like SaveSnapshot: on any failure
-  /// (including an injected "snapshot/write" fault) the previous artifact is
-  /// left intact.
+  /// same artifact SaveSnapshot(path) would — byte for byte — but copies
+  /// each section whose kind's "clean" predicate holds for `stats` (its
+  /// payload bytes and stored CRC) from `previous_path` instead of
+  /// re-serializing it. The previous artifact passes the loader's header
+  /// and section-table checks first, and each reused section its CRC.
+  /// Atomic like SaveSnapshot: on any failure (including an injected
+  /// "snapshot/write" fault) the previous artifact is left intact.
   ///
   /// Defined in the tind_snapshot library (src/snapshot/); link it to use.
   Status CompactSnapshot(const std::string& previous_path,
@@ -329,16 +329,9 @@ class TindIndex {
       const TindParams& params, std::vector<QueryStats>* stats,
       ThreadPool* pool, bool forward) const;
 
-  /// Shared writer behind SaveSnapshot / CompactSnapshot (defined in the
-  /// tind_snapshot library): `reuse`, when non-null, maps section id to
-  /// (payload bytes, stored CRC-32) byte-copied from a previous artifact
-  /// instead of re-serialized. Serialization is deterministic, so a reused
-  /// clean section is byte-identical to what re-serialization would emit.
-  Status WriteSnapshotFile(
-      const std::string& path,
-      const std::unordered_map<uint32_t,
-                               std::pair<std::string_view, uint32_t>>* reuse)
-      const;
+  /// Every snapshot section kind reads and writes these members directly
+  /// (src/snapshot/section_table.h).
+  friend struct snapshot::SectionTable;
 
   /// Populates required_values_ / reverse_min_weights_ from the dataset and
   /// build parameters. Shared by Build() and (indirectly, for validation in

@@ -44,7 +44,6 @@
 #include "common/stopwatch.h"
 #include "obs/json.h"
 #include "serve/server.h"
-#include "snapshot/snapshot.h"
 #include "temporal/weights.h"
 #include "tind/index.h"
 #include "wiki/corpus_io.h"
@@ -172,8 +171,8 @@ int Run(const Flags& flags) {
       std::fprintf(stderr, "--preflight requires --snapshot=<path>\n");
       return 1;
     }
-    const Status verified = tind::snapshot::VerifySnapshot(snapshot);
-    if (!verified.ok()) return Fail(verified);
+    // The load checks every section CRC and runs the same per-section
+    // validators as VerifySnapshot, so it is the whole preflight.
     tind::SnapshotLoadOptions load;
     load.weight = &weight;
     auto index_or = tind::TindIndex::LoadSnapshot(dataset, snapshot, load);

@@ -11,8 +11,9 @@
 /// mirror tind_selfcheck (--bloom_bits --slices --eps --delta --hashes
 /// --reverse_slices --no_reverse --seed). `inspect` prints the manifest and
 /// section table without needing the corpus; `verify` additionally checks
-/// every section's CRC-32 and the matrix geometry — an OK verify means a
-/// load will not reject the file for corruption.
+/// every section's CRC-32 and runs the loader's own per-section validators
+/// (matrix geometry, slice intervals, caches) — an OK verify means a load
+/// will not reject the file for corruption.
 ///
 /// Exit status (StatusExitCode — distinct per rejection type, so scripts
 /// and the serving preflight can branch without parsing stderr):
@@ -172,7 +173,7 @@ int RunVerify(const Flags& flags) {
   tind::Stopwatch watch;
   const Status status = tind::snapshot::VerifySnapshot(path);
   if (!status.ok()) return Fail(status);
-  std::printf("%s: OK (all section CRCs and matrix geometry valid, %.1f ms)\n",
+  std::printf("%s: OK (all section CRCs and payloads valid, %.1f ms)\n",
               path.c_str(), watch.ElapsedMillis());
   return 0;
 }
