@@ -1,27 +1,29 @@
 /// bench_progressive: anytime-query latency — time-to-first-result vs
-/// time-to-exact through the staged SearchCursor, plus the fixed-rule
-/// planner's effect on exact latency.
+/// time-to-exact through the staged SearchCursor, plus the default stage
+/// order's effect on exact latency.
 ///
 ///   bench_progressive --attributes=8000 --queries=400
 ///       --json=BENCH_progressive.json
 ///
 /// Three measured modes over the same query sample:
 ///   * exact      — the monolithic TindIndex::Search / ReverseSearch call
-///                  (the baseline the staged pipeline must not regress);
+///                  in Algorithm 1's order, every usable slice probed (the
+///                  baseline the staged pipeline must not regress);
 ///   * stage-1    — SearchCursor stopped after the M_T/M_R probe: the
 ///                  microseconds-latency sound superset a streaming client
 ///                  acts on first (TTFR);
-///   * planner    — SearchCursor with the fixed-rule CostModelPlanner
-///                  choosing per query which prune stages to skip, run to
-///                  the exact answer.
+///   * planner    — SearchCursor in the default order: the exact recheck
+///                  first, then the slices only where their cost rule
+///                  (SlicesPayOff) says they pay, run to the exact answer.
 ///
 /// The bench asserts (and records in the JSON) the two contracts CI gates
-/// on: *parity* — staged and planner-driven execution return bit-identical
+/// on: *parity* — staged and default-order execution return bit-identical
 /// result lists to the monolithic call on every query — and the *TTFR
 /// floor* — stage-1 p99 latency is a large factor below exact p99 (>= 10x
 /// at the default 8000-attribute scale; the committed baseline asserts a
-/// conservative floor so slow CI hardware does not flake). Planner-enabled
-/// exact p99 must stay within a small factor of the baseline exact p99.
+/// conservative floor so slow CI hardware does not flake). Default-order
+/// exact p99 must stay within a small factor of the paper-order p99, and
+/// `planner_skips` counts the queries whose slices the cost rule skipped.
 ///
 /// BENCH_progressive.json is validated in CI against
 /// bench/baselines/progressive.json by tools/check_bench_json.py.
@@ -37,7 +39,6 @@
 #include "obs/latency.h"
 #include "temporal/weights.h"
 #include "tind/index.h"
-#include "tind/planner.h"
 #include "tind/progressive.h"
 
 namespace tind {
@@ -47,7 +48,8 @@ int RunProgressive(const Flags& flags) {
   wiki::GeneratedDataset corpus = bench::BuildCorpus(flags, 8000, 1000);
   const Dataset& dataset = corpus.dataset;
   bench::PrintBanner("progressive",
-                     "anytime queries: stage-1 TTFR vs exact, planner parity",
+                     "anytime queries: stage-1 TTFR vs exact, stage-order "
+                     "parity",
                      dataset);
 
   const ConstantWeight weight(dataset.domain().num_timestamps());
@@ -75,8 +77,6 @@ int RunProgressive(const Flags& flags) {
       dataset, num_queries, static_cast<uint64_t>(flags.GetInt("seed", 7)));
   const double reverse_fraction = flags.GetDouble("reverse_frac", 0.25);
 
-  const CostModelPlanner planner(index);
-
   // Warm-up: run every query once unmeasured to page in the matrices.
   for (size_t i = 0; i < queries.size(); ++i) {
     const bool reverse =
@@ -103,8 +103,8 @@ int RunProgressive(const Flags& flags) {
 
     Stopwatch exact_timer;
     const std::vector<AttributeId> exact =
-        reverse ? index.ReverseSearch(query, params)
-                : index.Search(query, params);
+        reverse ? index.ReverseSearch(query, params, QueryPlan::kPaperOrder)
+                : index.Search(query, params, QueryPlan::kPaperOrder);
     exact_ms.push_back(exact_timer.ElapsedMillis());
 
     // Stage 1 only: the time until a streaming client holds the sound
@@ -117,15 +117,12 @@ int RunProgressive(const Flags& flags) {
     ttfr_ms.push_back(ttfr_timer.ElapsedMillis());
     parity = parity && cursor.RunToCompletion() == exact;
 
-    SearchCursor::Options planned;
-    planned.reverse = reverse;
-    planned.planner = &planner;
-    SearchCursor planned_cursor(index, query, params, planned);
+    SearchCursor planned_cursor(index, query, params, staged);
     Stopwatch planner_timer;
     planned_cursor.RunToCompletion();
     planner_ms.push_back(planner_timer.ElapsedMillis());
     parity = parity && planned_cursor.results() == exact;
-    if (planned_cursor.plan().skip_slices) ++planner_skips;
+    if (planned_cursor.stats().plan_skipped_slices) ++planner_skips;
   }
 
   const obs::LatencySummary exact_sum =
@@ -144,9 +141,9 @@ int RunProgressive(const Flags& flags) {
     table.AddRow({name, bench::Ms(s.p50), bench::Ms(s.p95), bench::Ms(s.p99),
                   bench::Ms(s.max)});
   };
-  row("exact (monolithic)", exact_sum);
+  row("exact (paper order)", exact_sum);
   row("stage-1 TTFR", ttfr_sum);
-  row("planner exact", planner_sum);
+  row("exact (default order)", planner_sum);
   bench::EmitTable(flags, table, "anytime query latency");
   std::printf(
       "parity=%s  ttfr_speedup(p99)=%.1fx  planner_ratio(p99)=%.2fx  "
@@ -161,11 +158,11 @@ int RunProgressive(const Flags& flags) {
       failed = true;
     }
   };
-  check(parity, "staged + planner results bit-identical to monolithic");
+  check(parity, "staged + default-order results bit-identical to monolithic");
   check(ttfr_speedup >= flags.GetDouble("require_ttfr_speedup", 2.0),
         "stage-1 TTFR p99 materially below exact p99");
   check(planner_ratio <= flags.GetDouble("max_planner_ratio", 1.5),
-        "planner-enabled exact latency within budget of baseline");
+        "default-order exact latency within budget of the paper order");
 
   const std::string json_path = flags.GetString("json", "");
   if (!json_path.empty()) {

@@ -53,6 +53,9 @@ int RunHarness(int argc, char** argv, int (*run)(const Flags&)) {
   InitMetrics(flags);
   const int rc = run(flags);
   FinishMetrics(flags);
+  // The harness has read every flag it uses; any other given flag is
+  // misspelt or belongs to another binary.
+  flags.RejectUnread();
   return rc;
 }
 

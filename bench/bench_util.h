@@ -25,7 +25,9 @@ namespace tind::bench {
 /// Standard harness entry point: parses argv, enables the global metrics
 /// registry when --metrics_json/--metrics_csv/--metrics is present, invokes
 /// `run`, exports the registry, and returns `run`'s exit code. Metrics stay
-/// fully disabled (zero overhead) unless one of those flags was passed.
+/// fully disabled (zero overhead) unless one of those flags was passed. A
+/// given flag that neither `run` nor the harness read exits with
+/// StatusExitCode(InvalidArgument) (Flags::RejectUnread).
 int RunHarness(int argc, char** argv, int (*run)(const Flags&));
 
 /// The pieces of RunHarness, for harnesses with their own main shape.

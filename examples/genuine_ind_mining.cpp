@@ -36,6 +36,8 @@ int main(int argc, char** argv) {
   gen_opts.num_families = target / 16;
   gen_opts.num_noise_attributes = target * 7 / 10;
   gen_opts.num_catchall_attributes = 5;
+  flags.Declare({"save_dataset", "eps", "delta"});  // Read further down.
+  flags.RejectUnread();
 
   auto generated = wiki::WikiGenerator(gen_opts).GenerateDataset();
   if (!generated.ok()) {

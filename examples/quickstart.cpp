@@ -51,6 +51,7 @@ int main(int argc, char** argv) {
   if (!metrics_path.empty()) {
     obs::MetricsRegistry::Global().set_enabled(true);
   }
+  flags.RejectUnread();
 
   // 100 daily snapshots.
   Dataset dataset(TimeDomain(100), std::make_shared<ValueDictionary>());

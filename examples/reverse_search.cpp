@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   gen_opts.num_families = target / 16;
   gen_opts.num_noise_attributes = target * 7 / 10;
   gen_opts.num_catchall_attributes = 3;
+  flags.RejectUnread();
   auto generated = wiki::WikiGenerator(gen_opts).GenerateDataset();
   if (!generated.ok()) {
     std::fprintf(stderr, "generation failed\n");

@@ -32,6 +32,8 @@ int main(int argc, char** argv) {
   gen_opts.num_noise_attributes =
       static_cast<size_t>(flags.GetInt("attributes", 400)) * 3 / 5;
   gen_opts.num_catchall_attributes = 3;
+  flags.Declare({"queries"});  // Read further down.
+  flags.RejectUnread();
 
   std::printf("generating raw revision corpus...\n");
   auto raw = wiki::WikiGenerator(gen_opts).GenerateRawCorpus();

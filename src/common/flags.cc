@@ -75,36 +75,42 @@ Flags Flags::Parse(int argc, char** argv) {
   return flags;
 }
 
+const std::string* Flags::Find(const std::string& key) const {
+  read_.insert(key);
+  const auto it = values_.find(key);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+bool Flags::Has(const std::string& key) const { return Find(key) != nullptr; }
+
 std::string Flags::GetString(const std::string& key,
                              const std::string& default_value) const {
-  const auto it = values_.find(key);
-  return it == values_.end() ? default_value : it->second;
+  const std::string* value = Find(key);
+  return value == nullptr ? default_value : *value;
 }
 
 int64_t Flags::GetInt(const std::string& key, int64_t default_value) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
-  return ParseInt(key, it->second);
+  const std::string* value = Find(key);
+  return value == nullptr ? default_value : ParseInt(key, *value);
 }
 
 double Flags::GetDouble(const std::string& key, double default_value) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
-  return ParseDouble(key, it->second);
+  const std::string* value = Find(key);
+  return value == nullptr ? default_value : ParseDouble(key, *value);
 }
 
 bool Flags::GetBool(const std::string& key, bool default_value) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* value = Find(key);
+  if (value == nullptr) return default_value;
+  return *value == "true" || *value == "1" || *value == "yes";
 }
 
 std::vector<int64_t> Flags::GetIntList(
     const std::string& key, const std::vector<int64_t>& default_value) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
+  const std::string* value = Find(key);
+  if (value == nullptr) return default_value;
   std::vector<int64_t> out;
-  for (const auto& part : SplitCommas(it->second)) {
+  for (const auto& part : SplitCommas(*value)) {
     if (!part.empty()) out.push_back(ParseInt(key, part));
   }
   return out;
@@ -112,13 +118,28 @@ std::vector<int64_t> Flags::GetIntList(
 
 std::vector<double> Flags::GetDoubleList(
     const std::string& key, const std::vector<double>& default_value) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return default_value;
+  const std::string* value = Find(key);
+  if (value == nullptr) return default_value;
   std::vector<double> out;
-  for (const auto& part : SplitCommas(it->second)) {
+  for (const auto& part : SplitCommas(*value)) {
     if (!part.empty()) out.push_back(ParseDouble(key, part));
   }
   return out;
+}
+
+void Flags::Declare(std::initializer_list<const char*> keys) const {
+  for (const char* key : keys) read_.insert(key);
+}
+
+void Flags::RejectUnread() const {
+  std::string unread;
+  for (const auto& [key, value] : values_) {
+    if (read_.count(key) == 0) unread += (unread.empty() ? "--" : ", --") + key;
+  }
+  if (unread.empty()) return;
+  const Status status = Status::InvalidArgument("unknown flag(s): " + unread);
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  std::exit(StatusExitCode(status));
 }
 
 }  // namespace tind

@@ -7,7 +7,9 @@
 /// parameters through this so paper-scale runs are one flag away.
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,12 +24,17 @@ namespace tind {
 /// getters (GetInt, GetDouble and the list forms) accept only a value that
 /// parses in full and in range; anything else prints the flag to stderr and
 /// exits with StatusExitCode(InvalidArgument).
+///
+/// Every getter (Has included) records the key it read. A binary that has
+/// read its flags calls RejectUnread(), which exits the same way when a
+/// given flag was never read: a misspelt or removed flag fails loudly
+/// instead of running with the default.
 class Flags {
  public:
   /// Parses argv; never fails (malformed tokens become positionals).
   static Flags Parse(int argc, char** argv);
 
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
+  bool Has(const std::string& key) const;
 
   std::string GetString(const std::string& key,
                         const std::string& default_value) const;
@@ -44,9 +51,22 @@ class Flags {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Marks `keys` as known without reading them: flags that a binary reads
+  /// only on some code paths, or only after RejectUnread().
+  void Declare(std::initializer_list<const char*> keys) const;
+
+  /// Prints every given flag that no getter read and Declare() did not name,
+  /// then exits with StatusExitCode(InvalidArgument); returns when there is
+  /// none.
+  void RejectUnread() const;
+
  private:
+  /// Looks `key` up and records it as read.
+  const std::string* Find(const std::string& key) const;
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace tind

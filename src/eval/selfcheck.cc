@@ -142,30 +142,37 @@ Result<SelfCheckReport> RunSelfCheck(const SelfCheckOptions& options) {
   TIND_RETURN_IF_ERROR(index.status());
 
   // Phase 3: forward + reverse searches against the brute-force oracle.
+  // Each forward query runs in both stage orders: the default one and
+  // Algorithm 1's.
   Rng rng(options.seed ^ 0x9E3779B97F4A7C15ULL);
   RuntimeStats query_ms;
   for (size_t i = 0; i < options.oracle_queries; ++i) {
     const auto query = static_cast<AttributeId>(rng.Uniform(dataset.size()));
-    QueryStats stats;
-    const std::vector<AttributeId> found =
-        (*index)->Search(dataset.attribute(query), params, &stats);
-    query_ms.Add(stats.elapsed_ms);
     const std::vector<AttributeId> expected =
         OracleSearch(dataset, query, params, /*forward=*/true);
-    checks.Record(
-        "forward_search_matches_oracle(q=" + std::to_string(query) + ")",
-        found == expected,
-        found == expected ? ""
-                          : "index " + IdListToString(found) + " != oracle " +
-                                IdListToString(expected));
-    // The candidate funnel must be monotone: every pruning stage only
-    // removes candidates.
-    const bool funnel_monotone = stats.initial_candidates >=
-                                     stats.after_slices &&
-                                 stats.after_slices >= stats.after_exact_check &&
-                                 stats.after_exact_check >= stats.num_results;
-    checks.Record("candidate_funnel_monotone(q=" + std::to_string(query) + ")",
-                  funnel_monotone);
+    for (const QueryPlan plan :
+         {QueryPlan::kRecheckFirst, QueryPlan::kPaperOrder}) {
+      QueryStats stats;
+      const std::vector<AttributeId> found =
+          (*index)->Search(dataset.attribute(query), params, plan, &stats);
+      const bool paper = stats.plan == QueryPlan::kPaperOrder;
+      const std::string suffix =
+          (paper ? "(paper_order,q=" : "(q=") + std::to_string(query) + ")";
+      if (!paper) query_ms.Add(stats.elapsed_ms);
+      checks.Record("forward_search_matches_oracle" + suffix,
+                    found == expected,
+                    found == expected
+                        ? ""
+                        : "index " + IdListToString(found) + " != oracle " +
+                              IdListToString(expected));
+      // The candidate funnel must be monotone in the order the stages ran
+      // (QueryStats::plan): every pruning stage only removes candidates.
+      const size_t second = paper ? stats.after_slices : stats.after_exact_check;
+      const size_t third = paper ? stats.after_exact_check : stats.after_slices;
+      checks.Record("candidate_funnel_monotone" + suffix,
+                    stats.initial_candidates >= second && second >= third &&
+                        third >= stats.num_results);
+    }
   }
   for (size_t i = 0; i < std::min<size_t>(options.oracle_queries, 3); ++i) {
     const auto query = static_cast<AttributeId>(rng.Uniform(dataset.size()));
@@ -184,7 +191,9 @@ Result<SelfCheckReport> RunSelfCheck(const SelfCheckOptions& options) {
 
   // Phase 4: all-pairs discovery; its pair set must agree with per-query
   // searches (it is implemented on top of them, so this catches threading
-  // races rather than re-deriving correctness).
+  // races rather than re-deriving correctness). The per-query searches run
+  // in Algorithm 1's order, so the check also compares the two stage orders
+  // over every attribute.
   size_t discovered_pairs = 0;
   if (options.run_discovery) {
     TIND_OBS_SCOPED_TIMER("selfcheck_discovery");
@@ -196,7 +205,8 @@ Result<SelfCheckReport> RunSelfCheck(const SelfCheckOptions& options) {
     for (size_t q = 0; q < dataset.size(); ++q) {
       expected_pairs +=
           (*index)
-              ->Search(dataset.attribute(static_cast<AttributeId>(q)), params)
+              ->Search(dataset.attribute(static_cast<AttributeId>(q)), params,
+                       QueryPlan::kPaperOrder)
               .size();
     }
     checks.Record("discovery_matches_per_query_searches",

@@ -13,7 +13,6 @@
 
 #include "common/fault_injection.h"
 #include "obs/metrics.h"
-#include "tind/planner.h"
 #include "tind/progressive.h"
 
 namespace tind::serve {
@@ -113,7 +112,6 @@ Status TindServer::Start() {
   ttfr_ms_ = obs::MetricsRegistry::Global().GetHistogram("serve/ttfr_ms");
   protocol_errors_metric_ =
       obs::MetricsRegistry::Global().GetCounter("serve/protocol_errors");
-  planner_ = std::make_unique<CostModelPlanner>(index_);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   batcher_thread_ = std::thread([this] { BatcherLoop(); });
   return Status::OK();
@@ -521,13 +519,12 @@ void TindServer::RunGroup(const std::vector<PendingRequest*>& requests,
                                 ? r.window_end
                                 : r.attribute + 1;
     for (AttributeId a = r.attribute; a < end; ++a) {
-      members.push_back({&dataset.attribute(a), &request->cancel, {}});
+      members.push_back({&dataset.attribute(a), &request->cancel});
     }
   }
   begin.push_back(members.size());
   SearchCursor::Options cursor_options;
   cursor_options.reverse = first.reverse;
-  cursor_options.planner = planner_.get();
   SearchCursor cursor(index, members, params, cursor_options);
 
   // Stage 1 (the microseconds stage), then a partial frame per stream: a
@@ -557,8 +554,9 @@ void TindServer::RunGroup(const std::vector<PendingRequest*>& requests,
     std::this_thread::sleep_for(kStreamPause);
   }
 
-  // Stage 2, then the brown-out: in an overloaded window, consenting
-  // requests stop here and answer their post-slice superset.
+  // Stage 2 (the exact recheck), then the brown-out: in an overloaded
+  // window, consenting requests stop here and answer their post-recheck
+  // superset.
   cursor.Step();
   for (size_t r = 0; r < requests.size(); ++r) {
     if (!degrade_window || !requests[r]->request.allow_degraded) continue;

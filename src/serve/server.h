@@ -8,16 +8,17 @@
 /// batcher thread drains the bounded admission queue in group-commit
 /// windows and steps every request of one (direction, ε, δ) — searches,
 /// discovery windows and streams alike — through one SearchCursor
-/// (tind/progressive.h), with the fixed-rule planner (tind/planner.h)
-/// choosing each member's stages after its probe. Each admitted request's
+/// (tind/progressive.h) in the default stage order, whose slice cost rule
+/// decides each member's slices after its recheck. Each admitted request's
 /// cancellation token carries its deadline, so the funnel's own polls stop
 /// a request whose budget elapses mid-funnel.
 ///
 /// Overload ladder (in admission order):
 ///  1. accept + enqueue (normal operation);
 ///  2. queue depth at dispatch >= degrade_watermark → requests that opted
-///     in (`allow_degraded`) stop after the slice stage and get that sound
-///     superset with the degraded flag set (stages 3–4 are skipped);
+///     in (`allow_degraded`) stop after the funnel's second stage (the
+///     exact recheck) and get that sound superset with the degraded flag
+///     set (the slices and validation are skipped);
 ///  3. queue full, memory budget exhausted, or draining → the request is
 ///     shed immediately with a typed error (ResourceExhausted for queue /
 ///     drain, OutOfMemory for the budget) — never silently dropped, never
@@ -57,7 +58,6 @@ class Histogram;
 }  // namespace tind::obs
 
 namespace tind {
-class CostModelPlanner;  // tind/planner.h
 }  // namespace tind
 
 namespace tind::serve {
@@ -177,7 +177,7 @@ class TindServer {
                     const Frame& frame);
   void ProcessBatch(std::vector<PendingRequest>&& batch, size_t depth_at_pop);
   /// Answers requests sharing (direction, ε, δ) through one SearchCursor:
-  /// probe → a kSearchPartial frame per stream → slices → degraded-window
+  /// probe → a kSearchPartial frame per stream → recheck → degraded-window
   /// abandonment → remaining stages → one final frame per request.
   void RunGroup(const std::vector<PendingRequest*>& requests,
                 const TindIndex& index, bool degrade_window);
@@ -245,10 +245,6 @@ class TindServer {
   /// "serve/protocol_errors", bumped directly (like latency_ms_) so the
   /// registry always equals counters().protocol_errors.
   obs::Counter* protocol_errors_metric_ = nullptr;
-  /// Plans every served query after its probe stage. Built once at Start()
-  /// from the base index; it copies what it needs, so epoch swaps never
-  /// invalidate it.
-  std::unique_ptr<CostModelPlanner> planner_;
 };
 
 }  // namespace tind::serve

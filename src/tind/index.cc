@@ -219,7 +219,7 @@ void TindIndex::Group::Abandon(size_t b) {
 
 TindIndex::Group TindIndex::MakeGroup(const AttributeHistory* const* queries,
                                       size_t n, const TindParams& params,
-                                      bool forward,
+                                      bool forward, QueryPlan plan,
                                       const CancellationToken* const* cancels)
     const {
   assert(params.weight != nullptr);
@@ -233,8 +233,8 @@ TindIndex::Group TindIndex::MakeGroup(const AttributeHistory* const* queries,
   g.queries.assign(queries, queries + n);
   g.params = params;
   g.forward = forward;
+  g.plan = plan;
   if (cancels != nullptr) g.cancels.assign(cancels, cancels + n);
-  g.plans.resize(n);
   g.candidates.reserve(n);
   for (size_t b = 0; b < n; ++b) {
     BitVector cand(dataset_->size(), /*fill=*/true);
@@ -249,7 +249,8 @@ TindIndex::Group TindIndex::MakeGroup(const AttributeHistory* const* queries,
   }
   g.required.resize(n);
   g.abandoned.assign(n, 0);
-  g.stats.resize(n);
+  g.stats.assign(n, QueryStats{});
+  for (QueryStats& stats : g.stats) stats.plan = plan;
   g.results.resize(n);
   return g;
 }
@@ -275,26 +276,23 @@ void TindIndex::StepGroup(Group* g) const {
     case SearchStage::kProbe:
       ProbeStage(g);
       stage_ms = &QueryStats::probe_ms;
-      g->next = SearchStage::kSlices;
       break;
     case SearchStage::kSlices:
       SliceStage(g);
       stage_ms = &QueryStats::slices_ms;
-      g->next = SearchStage::kRecheck;
       break;
     case SearchStage::kRecheck:
       RecheckStage(g);
       stage_ms = &QueryStats::recheck_ms;
-      g->next = SearchStage::kValidate;
       break;
     case SearchStage::kValidate:
       ValidateStage(g);
       stage_ms = &QueryStats::validate_ms;
-      g->next = SearchStage::kDone;
       break;
     case SearchStage::kDone:
       return;
   }
+  g->next = NextStage(g->plan, g->next);
   // Per-query wall time is not separable inside a shared scan: each member
   // that ran the stage is charged an equal share of it.
   const double share = timer.ElapsedMillis() / static_cast<double>(active);
@@ -320,24 +318,27 @@ void TindIndex::ProbeStage(Group* g) const {
   std::vector<BloomFilter> filters;
   filters.reserve(g->size());  // Probes hold pointers into this.
   std::vector<BloomProbe> probes;
-  for (size_t b = 0; b < g->size(); ++b) {
-    if (g->abandoned[b]) continue;
-    const AttributeHistory& query = *g->queries[b];
-    BitVector& cand = g->candidates[b];
-    bool use_prefilter = reverse_usable;
-    if (g->forward) {
-      // Required values against M_T (sound for every ε, w, δ).
-      g->required[b] =
-          ComputeRequiredValues(query, *params.weight, params.epsilon);
-      use_prefilter = !g->required[b].empty();
-      if (use_prefilter) {
-        filters.push_back(full_matrix_.MakeQueryFilter(g->required[b]));
+  {
+    TIND_OBS_SCOPED_TIMER("query_filters");
+    for (size_t b = 0; b < g->size(); ++b) {
+      if (g->abandoned[b]) continue;
+      const AttributeHistory& query = *g->queries[b];
+      BitVector& cand = g->candidates[b];
+      bool use_prefilter = reverse_usable;
+      if (g->forward) {
+        // Required values against M_T (sound for every ε, w, δ).
+        g->required[b] =
+            ComputeRequiredValues(query, *params.weight, params.epsilon);
+        use_prefilter = !g->required[b].empty();
+        if (use_prefilter) {
+          filters.push_back(full_matrix_.MakeQueryFilter(g->required[b]));
+        }
+      } else if (use_prefilter) {
+        filters.push_back(reverse_matrix_.MakeQueryFilter(query.AllValues()));
       }
-    } else if (use_prefilter) {
-      filters.push_back(reverse_matrix_.MakeQueryFilter(query.AllValues()));
+      if (use_prefilter) probes.push_back(BloomProbe{&filters.back(), &cand});
+      g->stats[b].used_prefilter = use_prefilter;
     }
-    if (use_prefilter) probes.push_back(BloomProbe{&filters.back(), &cand});
-    g->stats[b].used_prefilter = use_prefilter;
   }
   if (g->forward) {
     TIND_OBS_SCOPED_TIMER("m_t_probe");
@@ -359,22 +360,51 @@ void TindIndex::ProbeStage(Group* g) const {
   }
 }
 
+bool SlicesPayOff(const std::vector<Interval>& slice_intervals,
+                  const AttributeHistory& query, size_t candidates) {
+  // True iff some non-empty version of `query` falls inside a slice.
+  const auto has_slice_probe = [&] {
+    for (const Interval& interval : slice_intervals) {
+      const auto [first, last] = query.VersionRangeInInterval(interval);
+      for (int64_t v = first; v <= last; ++v) {
+        if (!query.versions()[static_cast<size_t>(v)].empty()) return true;
+      }
+    }
+    return false;
+  };
+  const bool pays = candidates > kSkipSlicesMax && has_slice_probe();
+  if (pays) {
+    TIND_OBS_COUNTER_ADD("planner/full", 1);
+  } else {
+    TIND_OBS_COUNTER_ADD("planner/skip_slices", 1);
+  }
+  return pays;
+}
+
 void TindIndex::SliceStage(Group* g) const {
   // Time slices are only sound if the query's δ does not exceed the build δ
-  // (Section 4.4); a member's plan may additionally skip them as
-  // unprofitable, and the prune loops pass over such members.
+  // (Section 4.4). After the recheck, the cost rule skips the members whose
+  // slices cannot pay for their probes, and the prune loops pass over them.
   const bool slices_usable = g->params.delta <= options_.delta;
-  {
+  bool any_runs = false;
+  for (size_t b = 0; b < g->size(); ++b) {
+    if (g->abandoned[b]) continue;
+    g->stats[b].plan_skipped_slices =
+        slices_usable && g->plan == QueryPlan::kRecheckFirst &&
+        !SlicesPayOff(slice_intervals_, *g->queries[b],
+                      g->stats[b].after_exact_check);
+    any_runs = any_runs || !g->stats[b].plan_skipped_slices;
+  }
+  if (slices_usable && any_runs) {
     TIND_OBS_SCOPED_TIMER("slice_prune");
-    if (slices_usable && g->forward) PruneForwardSlices(g);
-    if (slices_usable && !g->forward) PruneReverseSlices(g);
+    if (g->forward) PruneForwardSlices(g);
+    if (!g->forward) PruneReverseSlices(g);
   }
   for (size_t b = 0; b < g->size(); ++b) {
     if (g->abandoned[b]) continue;
     QueryStats& stats = g->stats[b];
-    stats.used_slices = slices_usable && !g->plans[b].skip_slices;
+    stats.used_slices = slices_usable && !stats.plan_skipped_slices;
     stats.after_slices = g->candidates[b].Count();
-    stats.plan_skipped_slices = slices_usable && g->plans[b].skip_slices;
     if (g->forward) {
       TIND_OBS_COUNTER_ADD("search/candidates_after_slices",
                            stats.after_slices);
@@ -392,8 +422,10 @@ void TindIndex::RecheckStage(Group* g) const {
   for (size_t b = 0; b < g->size(); ++b) {
     if (g->abandoned[b]) continue;
     BitVector& cand = g->candidates[b];
-    // Exact required-values recheck to shed Bloom false positives before
-    // the expensive temporal validation (Algorithm 1, line 16).
+    // Exact required-values recheck to shed Bloom false positives
+    // (Algorithm 1, line 16). By default it runs before the slices: the
+    // false positives are mostly catch-alls whose saturated slice columns
+    // would be probed for nothing.
     if (g->forward && !g->required[b].empty()) {
       const ValueSet& required = g->required[b];
       cand.ForEachSet([&](size_t c) {
@@ -488,7 +520,7 @@ void TindIndex::PruneForwardSlices(Group* g) const {
     // Cancel().
     tasks.clear();
     for (size_t b = 0; b < g->size(); ++b) {
-      if (g->plans[b].skip_slices || g->PollCancel(b) ||
+      if (g->stats[b].plan_skipped_slices || g->PollCancel(b) ||
           g->candidates[b].None()) {
         continue;
       }
@@ -566,7 +598,7 @@ void TindIndex::PruneReverseSlices(Group* g) const {
         dataset_->domain().Clamp(interval.Expanded(2 * options_.delta));
     tasks.clear();
     for (size_t b = 0; b < g->size(); ++b) {
-      if (g->plans[b].skip_slices || g->PollCancel(b) ||
+      if (g->stats[b].plan_skipped_slices || g->PollCancel(b) ||
           g->candidates[b].None()) {
         continue;
       }
@@ -637,13 +669,12 @@ void TindIndex::PruneReverseSlices(Group* g) const {
 
 std::vector<AttributeId> TindIndex::RunSingle(const AttributeHistory& query,
                                               const TindParams& params,
-                                              const QueryPlan& plan,
+                                              QueryPlan plan,
                                               QueryStats* stats,
                                               ThreadPool* pool,
                                               bool forward) const {
   const AttributeHistory* queries[] = {&query};
-  Group g = MakeGroup(queries, 1, params, forward, /*cancels=*/nullptr);
-  g.plans[0] = plan;
+  Group g = MakeGroup(queries, 1, params, forward, plan, /*cancels=*/nullptr);
   g.pool = pool;
   while (g.next != SearchStage::kDone) StepGroup(&g);
   if (stats != nullptr) *stats = g.stats[0];
@@ -654,12 +685,12 @@ std::vector<AttributeId> TindIndex::Search(const AttributeHistory& query,
                                            const TindParams& params,
                                            QueryStats* stats,
                                            ThreadPool* pool) const {
-  return Search(query, params, QueryPlan{}, stats, pool);
+  return Search(query, params, QueryPlan::kRecheckFirst, stats, pool);
 }
 
 std::vector<AttributeId> TindIndex::Search(const AttributeHistory& query,
                                            const TindParams& params,
-                                           const QueryPlan& plan,
+                                           QueryPlan plan,
                                            QueryStats* stats,
                                            ThreadPool* pool) const {
   TIND_OBS_SCOPED_TIMER("search");
@@ -670,12 +701,12 @@ std::vector<AttributeId> TindIndex::ReverseSearch(const AttributeHistory& query,
                                                   const TindParams& params,
                                                   QueryStats* stats,
                                                   ThreadPool* pool) const {
-  return ReverseSearch(query, params, QueryPlan{}, stats, pool);
+  return ReverseSearch(query, params, QueryPlan::kRecheckFirst, stats, pool);
 }
 
 std::vector<AttributeId> TindIndex::ReverseSearch(const AttributeHistory& query,
                                                   const TindParams& params,
-                                                  const QueryPlan& plan,
+                                                  QueryPlan plan,
                                                   QueryStats* stats,
                                                   ThreadPool* pool) const {
   TIND_OBS_SCOPED_TIMER("reverse_search");
@@ -707,7 +738,7 @@ std::vector<std::vector<AttributeId>> TindIndex::BatchExecute(
       TIND_OBS_OBSERVE_BOUNDS("index/batch_group_size", size,
                               GroupSizeBounds());
       Group g = MakeGroup(queries.data() + lo, size, params, forward,
-                          /*cancels=*/nullptr);
+                          QueryPlan::kRecheckFirst, /*cancels=*/nullptr);
       while (g.next != SearchStage::kDone) StepGroup(&g);
       for (size_t b = 0; b < size; ++b) {
         results[lo + b] = std::move(g.results[b]);

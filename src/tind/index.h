@@ -83,22 +83,27 @@ struct SnapshotLoadOptions {
   bool verify_corpus_digest = true;
 };
 
-/// Per-query diagnostics (candidate funnel + timing).
+/// Per-query diagnostics (candidate funnel + timing). The funnel counts are
+/// taken after each stage in the order `plan` ran them: under the default
+/// kRecheckFirst order after_exact_check counts the recheck's survivors and
+/// after_slices the survivors of both prunes (what reaches validation);
+/// under kPaperOrder it is the other way round.
 struct QueryStats {
+  QueryPlan plan = QueryPlan::kRecheckFirst;  ///< The stage order that ran.
   size_t initial_candidates = 0;  ///< After M_T (or M_R) pruning.
   size_t after_slices = 0;        ///< After time-slice violation pruning.
   size_t after_exact_check = 0;   ///< After exact required-values recheck.
   size_t num_results = 0;         ///< Valid tINDs returned.
   size_t validations = 0;         ///< Exact Algorithm-2 validations run.
-  bool used_slices = false;       ///< False when query δ exceeded build δ.
+  bool used_slices = false;       ///< True when the slice stage probed.
   bool used_prefilter = false;    ///< False when M_T/M_R was unusable.
   /// True when this query was abandoned mid-funnel (its CancellationToken
   /// fired, or SearchCursor::Abandon): the result list is empty and every
   /// remaining stage was skipped.
   bool cancelled = false;
-  /// Planner decision (tind/plan.h): true when the planner skipped the
-  /// usable slice stage. The skip is sound — the final result is
-  /// unchanged; only the work distribution across stages moves.
+  /// True when the slice stage was usable (query δ within the build δ) but
+  /// its cost rule (SlicesPayOff) skipped it. The skip is sound — the final
+  /// result is unchanged; only the work distribution across stages moves.
   bool plan_skipped_slices = false;
   double elapsed_ms = 0;
   /// Per-stage wall-time attribution (prefilter probe, slice pruning, exact
@@ -109,6 +114,21 @@ struct QueryStats {
   double recheck_ms = 0;
   double validate_ms = 0;
 };
+
+/// Recheck survivors at or below this count skip the slice stage: even a
+/// perfect prune cannot save more validations than the probes cost.
+inline constexpr size_t kSkipSlicesMax = 8;
+
+/// The slice stage's cost rule, applied under QueryPlan::kRecheckFirst to
+/// every query whose δ is within the build δ (above it the slices are not
+/// sound and never run): the slices pay off only when more than
+/// kSkipSlicesMax candidates survive the exact recheck and some non-empty
+/// version of `query` falls inside one of `slice_intervals` (otherwise the
+/// forward stage would issue no probe at all). Counts each decision in
+/// planner/{full,skip_slices}. Skipping is sound, so a wrong decision costs
+/// latency, never correctness.
+bool SlicesPayOff(const std::vector<Interval>& slice_intervals,
+                  const AttributeHistory& query, size_t candidates);
 
 /// \brief Immutable tIND search index over one Dataset.
 ///
@@ -136,15 +156,15 @@ class TindIndex {
                                   QueryStats* stats = nullptr,
                                   ThreadPool* pool = nullptr) const;
 
-  /// Search with an explicit stage plan (tind/plan.h). With a default
-  /// QueryPlan this is bit-identical to the overload above; with skips the
-  /// final result is still exact (skipped stages are sound prunes) but the
-  /// funnel counters reflect the stages actually run. Both overloads run the
-  /// query as a group of one through the batch pipeline; the progressive
-  /// cursor (tind/progressive.h) steps the same groups one stage at a time.
+  /// Search with an explicit stage order (tind/plan.h). With the default
+  /// kRecheckFirst this is bit-identical to the overload above; under
+  /// kPaperOrder the result is the same (both prunes are sound) but the
+  /// funnel counters follow Algorithm 1. Both overloads run the query as a
+  /// group of one through the batch pipeline; the progressive cursor
+  /// (tind/progressive.h) steps the same groups one stage at a time.
   std::vector<AttributeId> Search(const AttributeHistory& query,
                                   const TindParams& params,
-                                  const QueryPlan& plan,
+                                  QueryPlan plan,
                                   QueryStats* stats = nullptr,
                                   ThreadPool* pool = nullptr) const;
 
@@ -154,11 +174,11 @@ class TindIndex {
                                          QueryStats* stats = nullptr,
                                          ThreadPool* pool = nullptr) const;
 
-  /// ReverseSearch with an explicit stage plan — same contract as the
+  /// ReverseSearch with an explicit stage order — same contract as the
   /// planned Search overload.
   std::vector<AttributeId> ReverseSearch(const AttributeHistory& query,
                                          const TindParams& params,
-                                         const QueryPlan& plan,
+                                         QueryPlan plan,
                                          QueryStats* stats = nullptr,
                                          ThreadPool* pool = nullptr) const;
 
@@ -242,7 +262,7 @@ class TindIndex {
   TindIndex() = default;
 
   /// One group (at most kBloomBatchGroupSize queries, one direction) moving
-  /// through the funnel: probe → slices → recheck → validate. Every search
+  /// through the funnel in its plan's stage order. Every search
   /// runs as a group — Search/ReverseSearch as a group of one, SearchCursor
   /// as groups of up to 64 stepped a stage at a time, BatchSearch as groups
   /// of up to 64 — so each stage has exactly one implementation.
@@ -257,9 +277,7 @@ class TindIndex {
     std::vector<const AttributeHistory*> queries;
     TindParams params;
     bool forward = true;
-    /// Per-member stage plans; the slice and recheck stages skip exactly
-    /// the members whose plan says so.
-    std::vector<QueryPlan> plans;
+    QueryPlan plan = QueryPlan::kRecheckFirst;
     /// Parallel to `queries` when non-empty; null entries are not
     /// cancellable.
     std::vector<const CancellationToken*> cancels;
@@ -280,17 +298,18 @@ class TindIndex {
   };
 
   Group MakeGroup(const AttributeHistory* const* queries, size_t n,
-                  const TindParams& params, bool forward,
+                  const TindParams& params, bool forward, QueryPlan plan,
                   const CancellationToken* const* cancels) const;
 
-  /// Runs the group's next stage and advances `g->next`: to kDone after
-  /// validation, or as soon as every member is abandoned.
+  /// Runs the group's next stage and advances `g->next` in the group's
+  /// stage order: to kDone after validation, or as soon as every member is
+  /// abandoned.
   void StepGroup(Group* g) const;
 
   /// Runs a group of one to completion (Search / ReverseSearch).
   std::vector<AttributeId> RunSingle(const AttributeHistory& query,
                                      const TindParams& params,
-                                     const QueryPlan& plan, QueryStats* stats,
+                                     QueryPlan plan, QueryStats* stats,
                                      ThreadPool* pool, bool forward) const;
 
   /// M_R (and with it the reverse recheck) is sound only when the query ε
@@ -299,7 +318,9 @@ class TindIndex {
   bool ReversePrefilterUsable(const TindParams& params) const;
 
   /// The four stage bodies behind StepGroup. Each skips abandoned members
-  /// and fills the funnel fields of QueryStats for the others.
+  /// and fills the funnel fields of QueryStats for the others. Under
+  /// kRecheckFirst the slice stage runs for a member only when SlicesPayOff
+  /// says so.
   void ProbeStage(Group* g) const;
   void SliceStage(Group* g) const;
   void RecheckStage(Group* g) const;

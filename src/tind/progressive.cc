@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "tind/planner.h"
 
 namespace tind {
 
@@ -26,7 +25,7 @@ const char* SearchStageName(SearchStage stage) {
 SearchCursor::SearchCursor(const TindIndex& index,
                            const std::vector<Member>& members,
                            const TindParams& params, const Options& options)
-    : index_(&index), planner_(options.planner), size_(members.size()) {
+    : index_(&index), size_(members.size()) {
   std::vector<const AttributeHistory*> queries;
   std::vector<const CancellationToken*> cancels;
   for (const Member& m : members) {
@@ -36,34 +35,19 @@ SearchCursor::SearchCursor(const TindIndex& index,
   for (size_t lo = 0; lo < size_; lo += kBloomBatchGroupSize) {
     const size_t n = std::min(kBloomBatchGroupSize, size_ - lo);
     groups_.push_back(index.MakeGroup(queries.data() + lo, n, params,
-                                      !options.reverse, cancels.data() + lo));
-    TindIndex::Group& g = groups_.back();
-    for (size_t b = 0; b < n; ++b) g.plans[b] = members[lo + b].plan;
-    g.pool = options.pool;
+                                      !options.reverse, options.plan,
+                                      cancels.data() + lo));
+    groups_.back().pool = options.pool;
   }
   TIND_OBS_COUNTER_ADD("progressive/cursors", 1);
 }
 
 SearchCursor::SearchCursor(const TindIndex& index, const AttributeHistory& query,
                            const TindParams& params, const Options& options)
-    : SearchCursor(index, {Member{&query, options.cancel, options.plan}},
-                   params, options) {}
+    : SearchCursor(index, {Member{&query, options.cancel}}, params, options) {}
 
 SearchStage SearchCursor::Step() {
-  for (TindIndex::Group& g : groups_) {
-    const bool probing = g.next == SearchStage::kProbe;
-    index_->StepGroup(&g);
-    // The planner decides each member's remaining stages once its stage-1
-    // candidate count is known.
-    if (!probing || planner_ == nullptr || g.next == SearchStage::kDone) {
-      continue;
-    }
-    for (size_t b = 0; b < g.size(); ++b) {
-      if (g.abandoned[b]) continue;
-      g.plans[b] = planner_->Plan(*g.queries[b], g.params,
-                                  g.stats[b].initial_candidates);
-    }
-  }
+  for (TindIndex::Group& g : groups_) index_->StepGroup(&g);
   return next_stage();
 }
 
@@ -73,9 +57,13 @@ const std::vector<AttributeId>& SearchCursor::RunToCompletion() {
 }
 
 SearchStage SearchCursor::next_stage() const {
-  SearchStage next = SearchStage::kDone;
-  for (const TindIndex::Group& g : groups_) next = std::min(next, g.next);
-  return next;
+  // Step() advances every unfinished group by one stage of the same order,
+  // and a group only ever jumps ahead to kDone, so the unfinished groups
+  // agree on their next stage.
+  for (const TindIndex::Group& g : groups_) {
+    if (g.next != SearchStage::kDone) return g.next;
+  }
+  return SearchStage::kDone;
 }
 
 std::vector<AttributeId> SearchCursor::Superset(size_t b) const {

@@ -32,25 +32,20 @@
 
 namespace tind {
 
-class CostModelPlanner;  // tind/planner.h
-
 const char* SearchStageName(SearchStage stage);
 
 /// Staged execution of a group of forward or reverse searches.
 ///
 /// Not thread-safe; one cursor per thread. The index, queries,
-/// params.weight, planner, cancel tokens, and pool must outlive the cursor.
+/// params.weight, cancel tokens, and pool must outlive the cursor.
 /// Member accessors take the member's position `b` (default 0, the only
 /// member of a single-query cursor).
 class SearchCursor {
  public:
   struct Options {
     bool reverse = false;
-    /// Single-query constructor: the query's stage plan.
-    QueryPlan plan;
-    /// Optional planner consulted for every member once its stage-1
-    /// candidate count is known; it replaces the member's plan. Not owned.
-    const CostModelPlanner* planner = nullptr;
+    /// The stage order of every member.
+    QueryPlan plan = QueryPlan::kRecheckFirst;
     /// Single-query constructor: external cancellation, polled at stage
     /// boundaries and inside the slice / validation loops. A fired token
     /// abandons the query (cancelled stats, empty results) but leaves
@@ -65,11 +60,10 @@ class SearchCursor {
     const AttributeHistory* query = nullptr;
     /// Same contract as Options::cancel; null is not cancellable.
     const CancellationToken* cancel = nullptr;
-    QueryPlan plan;
   };
 
-  /// A cursor over `members`; Options::plan and Options::cancel are unused
-  /// (each member carries its own).
+  /// A cursor over `members`; Options::cancel is unused (each member
+  /// carries its own).
   SearchCursor(const TindIndex& index, const std::vector<Member>& members,
                const TindParams& params, const Options& options);
   SearchCursor(const TindIndex& index, const AttributeHistory& query,
@@ -96,7 +90,7 @@ class SearchCursor {
   /// serving layer's degrade-to-best-stage path).
   void Abandon(size_t b = 0);
 
-  /// The earliest stage any unfinished member runs next.
+  /// The stage the unfinished members run next (kDone when none is left).
   SearchStage next_stage() const;
   bool done() const { return next_stage() == SearchStage::kDone; }
   bool cancelled(size_t b = 0) const { return stats(b).cancelled; }
@@ -105,9 +99,6 @@ class SearchCursor {
   }
   const std::vector<AttributeId>& results(size_t b = 0) const {
     return group(b).results[b % kBloomBatchGroupSize];
-  }
-  const QueryPlan& plan(size_t b = 0) const {
-    return group(b).plans[b % kBloomBatchGroupSize];
   }
   size_t candidate_count(size_t b = 0) const {
     return group(b).candidates[b % kBloomBatchGroupSize].Count();
@@ -119,7 +110,6 @@ class SearchCursor {
   }
 
   const TindIndex* index_;
-  const CostModelPlanner* planner_;
   size_t size_ = 0;
   std::vector<TindIndex::Group> groups_;
 };

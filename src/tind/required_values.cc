@@ -1,30 +1,36 @@
 #include "tind/required_values.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
+
+#include "tind/validator.h"
 
 namespace tind {
 
 ValueSet ComputeRequiredValues(const AttributeHistory& attribute,
                                const WeightFunction& weight, double epsilon) {
-  // Accumulate per-value occurrence weight over version validity intervals.
-  // One interval-sum per (version, value) pair; interval sums are O(1).
-  std::unordered_map<ValueId, double> occurrence_weight;
-  occurrence_weight.reserve(attribute.AllValues().size());
+  // Accumulate per-value occurrence weight over version validity intervals,
+  // densely by each value's slot in AllValues() (the union of the
+  // versions). One interval-sum per version (O(1)); each value's weights
+  // are added in version order.
+  const ValueSet& universe = attribute.AllValues();
+  std::vector<double> occurrence_weight(universe.size(), 0.0);
   attribute.ForEachVersion([&](const ValueSet& version,
                                const Interval& validity) {
     const double w = weight.Sum(validity);
     if (w <= 0) return;
-    for (const ValueId v : version.values()) {
-      occurrence_weight[v] += w;
-    }
+    ForEachUniverseSlot(universe, version, [&](uint32_t slot) {
+      occurrence_weight[slot] += w;
+    });
   });
+  // Slots ascend with the values, so the result comes out sorted. A value
+  // held only by zero-weight versions never occurred (weight 0), whatever ε.
   std::vector<ValueId> required;
-  for (const auto& [value, w] : occurrence_weight) {
-    if (w > epsilon) required.push_back(value);
+  for (size_t slot = 0; slot < universe.size(); ++slot) {
+    const double w = occurrence_weight[slot];
+    if (w > 0 && w > epsilon) required.push_back(universe.values()[slot]);
   }
-  return ValueSet::FromUnsorted(std::move(required));
+  return ValueSet::FromSorted(std::move(required));
 }
 
 double MinVersionWeight(const AttributeHistory& attribute,

@@ -162,21 +162,13 @@ void SweepViolations(const PreparedQuery& prepared, const AttributeHistory& a,
 
 PreparedQuery::PreparedQuery(const AttributeHistory& q) : q_(q) {
   TIND_OBS_COUNTER_ADD("validate/prepared_queries", 1);
-  const auto& u = universe().values();
   slots_.resize(q.num_versions());
   for (size_t vi = 0; vi < q.num_versions(); ++vi) {
     const ValueSet& version = q.versions()[vi];
-    // Each version is a sorted subset of the sorted universe, so one forward
-    // pass over the universe finds every value; a version much smaller than
-    // the universe binary-searches forward instead.
-    const bool sparse = version.size() * 8 < u.size();
     slots_[vi].reserve(version.size());
-    auto it = u.begin();
-    for (const ValueId v : version.values()) {
-      it = sparse ? std::lower_bound(it, u.end(), v)
-                  : std::find(it, u.end(), v);
-      slots_[vi].push_back(static_cast<uint32_t>(it - u.begin()));
-    }
+    ForEachUniverseSlot(universe(), version, [&](uint32_t slot) {
+      slots_[vi].push_back(slot);
+    });
   }
 }
 

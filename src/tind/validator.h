@@ -16,6 +16,7 @@
 /// so a query validated against many candidates prepares it once per query
 /// rather than once per candidate.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -29,6 +30,24 @@ namespace tind {
 /// ε, so that binary floating point noise never flips a verdict for the
 /// integer-valued weights of the paper's default setting.
 inline constexpr double kViolationTolerance = 1e-9;
+
+/// Calls `fn(slot)` with the position in `universe` of each value of
+/// `subset`, in ascending order. Both are sorted and `subset` ⊆ `universe`,
+/// so one forward pass over the universe finds every value; a subset under
+/// 1/8 of the universe binary-searches forward instead. PreparedQuery and
+/// ComputeRequiredValues resolve a history's versions against its
+/// AllValues() this way.
+template <typename Fn>
+void ForEachUniverseSlot(const ValueSet& universe, const ValueSet& subset,
+                         Fn&& fn) {
+  const std::vector<ValueId>& u = universe.values();
+  const bool sparse = subset.size() * 8 < u.size();
+  auto it = u.begin();
+  for (const ValueId v : subset.values()) {
+    it = sparse ? std::lower_bound(it, u.end(), v) : std::find(it, u.end(), v);
+    fn(static_cast<uint32_t>(it - u.begin()));
+  }
+}
 
 /// \brief Immutable Q-side state of Algorithm 2 for one query history:
 /// every value of every version of Q resolved to its slot in Q's value

@@ -99,7 +99,7 @@ CursorRun RunCursor(const TindIndex& index,
                     ThreadPool* pool = nullptr) {
   std::vector<SearchCursor::Member> members;
   for (size_t q = 0; q < queries.size(); ++q) {
-    members.push_back({queries[q], cancels.empty() ? nullptr : cancels[q], {}});
+    members.push_back({queries[q], cancels.empty() ? nullptr : cancels[q]});
   }
   SearchCursor::Options options;
   options.reverse = !forward;
@@ -269,15 +269,16 @@ TEST_F(BatchCancellationTest, MidRunCancellationTerminatesAndStaysConsistent) {
   }
 }
 
-/// The serving layer's brown-out: step the probe and the slice stage, then
-/// abandon every member and read its superset.
+/// The serving layer's brown-out: step the probe and the funnel's second
+/// stage (the exact recheck in the default order), then abandon every
+/// member and read its superset.
 CursorRun RunSupersetMode(const TindIndex& index,
                           const std::vector<const AttributeHistory*>& queries,
                           const TindParams& params, bool forward,
                           ThreadPool* pool = nullptr) {
   std::vector<SearchCursor::Member> members;
   for (const AttributeHistory* query : queries) {
-    members.push_back({query, nullptr, {}});
+    members.push_back({query, nullptr});
   }
   SearchCursor::Options options;
   options.reverse = !forward;
@@ -319,14 +320,15 @@ TEST_F(BatchCancellationTest, SupersetModeIsASoundDegradedSuperset) {
       EXPECT_TRUE(run.results[q].empty()) << ctx;
       // No Algorithm-2 validations in brown-out mode — that is the point.
       EXPECT_EQ(stats[q].validations, 0u) << ctx;
-      // The degraded answer is exactly the post-slice candidate set...
-      EXPECT_EQ(degraded[q].size(), stats[q].after_slices) << ctx;
+      // The degraded answer is exactly the post-recheck candidate set...
+      EXPECT_EQ(degraded[q].size(), stats[q].after_exact_check) << ctx;
       // ...whose funnel prefix matches the exact run's (stages 1-2 are
       // deterministic and unaffected by the mode switch).
       EXPECT_EQ(stats[q].initial_candidates,
                 exact_stats[q].initial_candidates)
           << ctx;
-      EXPECT_EQ(stats[q].after_slices, exact_stats[q].after_slices) << ctx;
+      EXPECT_EQ(stats[q].after_exact_check, exact_stats[q].after_exact_check)
+          << ctx;
       // ...and a superset of the exact answer.
       const std::set<AttributeId> superset(degraded[q].begin(),
                                            degraded[q].end());
@@ -354,7 +356,9 @@ TEST_F(BatchCancellationTest, SupersetModeWorksWithThreadPool) {
   ASSERT_EQ(pooled.supersets.size(), serial.supersets.size());
   for (size_t q = 0; q < pooled.supersets.size(); ++q) {
     EXPECT_EQ(pooled.supersets[q], serial.supersets[q]) << q;
-    EXPECT_EQ(pooled.stats[q].after_slices, serial.stats[q].after_slices) << q;
+    EXPECT_EQ(pooled.stats[q].after_exact_check,
+              serial.stats[q].after_exact_check)
+        << q;
   }
 }
 

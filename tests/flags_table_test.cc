@@ -112,6 +112,35 @@ TEST(FlagsDeathTest, MalformedListEntryExits) {
               ::testing::ExitedWithCode(RejectedFlagCode()), "--eps=x");
 }
 
+TEST(FlagsDeathTest, UnreadFlagExits) {
+  // --hedge_ms was never read: a removed or misspelt flag fails loudly.
+  EXPECT_EXIT(
+      {
+        const Flags f = ParseArgs({"--port=1", "--hedge_ms=5"});
+        (void)f.GetInt("port", 0);
+        f.RejectUnread();
+      },
+      ::testing::ExitedWithCode(RejectedFlagCode()), "--hedge_ms");
+  EXPECT_EXIT(
+      {
+        const Flags f = ParseArgs({"--stream_fraq=0.2", "--verbose"});
+        (void)f.GetDouble("stream_frac", 0.0);
+        f.RejectUnread();
+      },
+      ::testing::ExitedWithCode(RejectedFlagCode()),
+      "--stream_fraq, --verbose");
+}
+
+TEST(FlagsTest, ReadOrDeclaredFlagsPass) {
+  const Flags f = ParseArgs({"--a=1", "--b", "--c=x", "--d=2", "pos"});
+  (void)f.GetInt("a", 0);
+  EXPECT_TRUE(f.Has("b"));                // Has counts as a read.
+  (void)f.GetIntList("missing", {});      // Reading an absent key is fine.
+  f.Declare({"c", "d", "never_given"});  // Read on other paths only.
+  f.RejectUnread();                       // Returns: nothing unread.
+  SUCCEED();
+}
+
 TEST(FlagsTest, NegativeAndExponentValuesParse) {
   const Flags f = ParseArgs({"--delta=-3", "--eps=2.5e-1"});
   EXPECT_EQ(f.GetInt("delta", 0), -3);

@@ -136,9 +136,10 @@ TEST_F(TindIndexSearchTest, ExternalQueryNotExcluded) {
 }
 
 TEST_F(TindIndexSearchTest, StatsPopulated) {
-  QueryStats stats;
+  QueryStats stats;  // Algorithm 1's order: probe → slices → recheck.
   const TindParams params{0.0, 0, weight_.get()};
-  const auto results = index_->Search(dataset_.attribute(0), params, &stats);
+  const auto results = index_->Search(dataset_.attribute(0), params,
+                                      QueryPlan::kPaperOrder, &stats);
   EXPECT_TRUE(stats.used_prefilter);
   EXPECT_TRUE(stats.used_slices);
   EXPECT_EQ(stats.num_results, results.size());

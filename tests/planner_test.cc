@@ -4,16 +4,17 @@
 #include <memory>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "temporal/weights.h"
 #include "tind/index.h"
-#include "tind/planner.h"
 #include "wiki/generator.h"
 
 /// \file planner_test.cc
-/// Unit tests for the fixed-rule planner: an over-δ query must get the
-/// default plan, candidate sets of at most 8 must skip the slice stage (and
-/// 9 must not), and a query with no version inside any slice must skip it
-/// too.
+/// Unit tests for the slice stage's cost rule (SlicesPayOff): recheck
+/// survivor counts of at most kSkipSlicesMax skip the slices (and one more
+/// does not), a query with no version inside any slice skips them too, an
+/// over-δ query never reaches the rule, the paper order never consults it,
+/// and each decision is counted in planner/{full,skip_slices}.
 
 namespace tind {
 namespace {
@@ -50,14 +51,13 @@ class PlannerTest : public ::testing::Test {
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     index_ = std::move(*built);
     // Pick a query with versions inside the indexed slices, so the
-    // zero-probe rule does not mask the rule under test. Above 8 candidates
-    // the planner skips slices only when the probe count is zero.
-    const CostModelPlanner sentinel(*index_);
-    const TindParams params{3.0, 7, weight_.get()};
+    // zero-probe rule does not mask the rule under test. Above
+    // kSkipSlicesMax survivors the rule skips slices only when the probe
+    // count is zero.
     for (size_t q = 0; q < corpus_->dataset.size(); ++q) {
       const AttributeHistory& candidate =
           corpus_->dataset.attribute(static_cast<AttributeId>(q));
-      if (!sentinel.Plan(candidate, params, 1000).skip_slices) {
+      if (SlicesPayOff(index_->slice_intervals(), candidate, 1000)) {
         query_ = &candidate;
         break;
       }
@@ -71,32 +71,74 @@ class PlannerTest : public ::testing::Test {
   const AttributeHistory* query_ = nullptr;
 };
 
-TEST_F(PlannerTest, OverDeltaQueriesGetTheDefaultPlan) {
-  const CostModelPlanner planner(*index_);
+TEST_F(PlannerTest, OverDeltaQueriesNeverRunSlices) {
+  // Above the build δ the slices are unsound: they do not run, and that is
+  // not the cost rule's skip.
   const TindParams params{3.0, /*delta=*/100, weight_.get()};
-  const QueryPlan plan = planner.Plan(*query_, params, 1000);
-  EXPECT_FALSE(plan.skip_slices);
+  QueryStats stats;
+  (void)index_->Search(*query_, params, &stats);
+  EXPECT_FALSE(stats.used_slices);
+  EXPECT_FALSE(stats.plan_skipped_slices);
 }
 
 TEST_F(PlannerTest, TinyCandidateSetsSkipTheSliceStage) {
-  const CostModelPlanner planner(*index_);
-  const TindParams params{3.0, 7, weight_.get()};
-
-  const QueryPlan tiny = planner.Plan(*query_, params, 8);
-  EXPECT_TRUE(tiny.skip_slices);  // The exact recheck still runs.
-
-  const QueryPlan boundary = planner.Plan(*query_, params, 9);
-  EXPECT_FALSE(boundary.skip_slices);  // query_ has slice probes.
+  const std::vector<Interval>& slices = index_->slice_intervals();
+  // The exact recheck has already run when the rule is consulted.
+  EXPECT_FALSE(SlicesPayOff(slices, *query_, kSkipSlicesMax));
+  EXPECT_FALSE(SlicesPayOff(slices, *query_, 0));
+  // query_ has slice probes.
+  EXPECT_TRUE(SlicesPayOff(slices, *query_, kSkipSlicesMax + 1));
 }
 
 TEST_F(PlannerTest, ZeroSliceProbesSkipsTheSliceStage) {
   // An empty history has no versions inside any slice: the stage would
-  // issue zero probes, so the planner skips it however many candidates.
-  const CostModelPlanner planner(*index_);
+  // issue zero probes, so the rule skips it however many candidates.
   const AttributeHistory empty;  // No versions anywhere, slices included.
+  EXPECT_FALSE(SlicesPayOff(index_->slice_intervals(), empty, 1000));
+}
+
+TEST_F(PlannerTest, SearchFollowsTheRuleOnRecheckSurvivors) {
+  // Every query of the default order consults the rule on its recheck
+  // survivors; the paper order probes every usable slice.
   const TindParams params{3.0, 7, weight_.get()};
-  const QueryPlan plan = planner.Plan(empty, params, 1000);
-  EXPECT_TRUE(plan.skip_slices);
+  for (size_t q = 0; q < corpus_->dataset.size(); ++q) {
+    const AttributeHistory& query =
+        corpus_->dataset.attribute(static_cast<AttributeId>(q));
+    QueryStats stats;
+    (void)index_->Search(query, params, &stats);
+    EXPECT_EQ(stats.plan, QueryPlan::kRecheckFirst);
+    EXPECT_EQ(stats.plan_skipped_slices,
+              !SlicesPayOff(index_->slice_intervals(), query,
+                            stats.after_exact_check))
+        << "q=" << q;
+    EXPECT_EQ(stats.used_slices, !stats.plan_skipped_slices) << "q=" << q;
+
+    QueryStats paper;
+    (void)index_->Search(query, params, QueryPlan::kPaperOrder, &paper);
+    EXPECT_EQ(paper.plan, QueryPlan::kPaperOrder);
+    EXPECT_TRUE(paper.used_slices) << "q=" << q;
+    EXPECT_FALSE(paper.plan_skipped_slices) << "q=" << q;
+  }
+}
+
+TEST_F(PlannerTest, DecisionsAreCounted) {
+#if TIND_OBS_DISABLED
+  GTEST_SKIP() << "decision counting requires TIND_ENABLE_METRICS=ON";
+#else
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  obs::Counter* full = registry.GetCounter("planner/full");
+  obs::Counter* skip = registry.GetCounter("planner/skip_slices");
+  const uint64_t full_before = full->value();
+  const uint64_t skip_before = skip->value();
+  (void)SlicesPayOff(index_->slice_intervals(), *query_, kSkipSlicesMax);
+  (void)SlicesPayOff(index_->slice_intervals(), *query_, kSkipSlicesMax + 1);
+  (void)SlicesPayOff(index_->slice_intervals(), *query_, kSkipSlicesMax + 2);
+  EXPECT_EQ(skip->value() - skip_before, 1u);
+  EXPECT_EQ(full->value() - full_before, 2u);
+  registry.set_enabled(was_enabled);
+#endif
 }
 
 }  // namespace

@@ -9,19 +9,19 @@
 #include "common/thread_pool.h"
 #include "temporal/weights.h"
 #include "tind/index.h"
-#include "tind/planner.h"
 #include "tind/progressive.h"
 #include "wiki/generator.h"
 
 /// \file progressive_differential_test.cc
 /// Differential proof that staged execution is exact: a SearchCursor
 /// stepped to completion must return the same attribute-id list — and the
-/// same QueryStats funnel, including the planner-skip flag — as the
-/// monolithic Search / ReverseSearch call with the same QueryPlan, across
-/// the (ε, δ, w) grid, every available SIMD backend, and every plan
-/// (default, skip-slices, planner-chosen). The plan overloads must in turn
-/// agree with the default plan on the final result list: skipping a prune
-/// stage is sound, it can never change the answer.
+/// same QueryStats funnel, including the slice cost rule's skip flag — as
+/// the monolithic Search / ReverseSearch call with the same QueryPlan,
+/// across the (ε, δ, w) grid, every available SIMD backend, and both stage
+/// orders (recheck-first with its cost rule, and the paper's). The plan
+/// overloads must in turn agree with the default plan on the final result
+/// list: reordering or skipping a prune stage is sound, it can never change
+/// the answer.
 
 namespace tind {
 namespace {
@@ -31,6 +31,7 @@ namespace {
 /// is allowed to report differently.
 void ExpectSameFunnel(const QueryStats& got, const QueryStats& want,
                       const std::string& context) {
+  EXPECT_EQ(got.plan, want.plan) << context;
   EXPECT_EQ(got.initial_candidates, want.initial_candidates) << context;
   EXPECT_EQ(got.after_slices, want.after_slices) << context;
   EXPECT_EQ(got.after_exact_check, want.after_exact_check) << context;
@@ -69,11 +70,10 @@ constexpr GridPoint kGrid[] = {
     {6.0, 10, true},   // Exceeds build ε and δ: slices + M_R unusable.
 };
 
-/// The explicit plans under test. The planner-chosen plan is added at
-/// runtime per query.
+/// The stage orders under test.
 constexpr QueryPlan kPlans[] = {
-    {false},  // Default: run every stage.
-    {true},   // Skip slice pruning.
+    QueryPlan::kRecheckFirst,  // Default: recheck, then slices by cost rule.
+    QueryPlan::kPaperOrder,    // Algorithm 1: every usable slice probed.
 };
 
 class ScopedBackend {
@@ -112,7 +112,6 @@ TEST_P(ProgressiveDifferentialTest, CursorMatchesMonolithicExactly) {
   auto built = TindIndex::Build(dataset, opts);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   const TindIndex& index = **built;
-  const CostModelPlanner planner(index);
 
   ThreadPool pool(3);
   const size_t n_attrs = dataset.size();
@@ -140,8 +139,8 @@ TEST_P(ProgressiveDifferentialTest, CursorMatchesMonolithicExactly) {
               " eps=" + std::to_string(point.epsilon) +
               " delta=" + std::to_string(point.delta) +
               (forward ? " forward" : " reverse") + " q=" +
-              std::to_string(q) + " skip_slices=" +
-              std::to_string(plan.skip_slices);
+              std::to_string(q) + " plan=" +
+              std::to_string(static_cast<int>(plan));
 
           QueryStats mono_stats;
           const std::vector<AttributeId> mono =
@@ -165,24 +164,6 @@ TEST_P(ProgressiveDifferentialTest, CursorMatchesMonolithicExactly) {
           EXPECT_EQ(pooled.RunToCompletion(), exact) << context << " pooled";
           ExpectSameFunnel(pooled.stats(), mono_stats, context + " pooled");
         }
-
-        // Planner-chosen plan: whatever it decides, the result list and the
-        // funnel agree with the monolithic call under the same plan.
-        SearchCursor::Options planned_opts;
-        planned_opts.reverse = !forward;
-        planned_opts.planner = &planner;
-        SearchCursor planned(index, query, params, planned_opts);
-        EXPECT_EQ(planned.RunToCompletion(), exact)
-            << "planner q=" << q << (forward ? " forward" : " reverse");
-        QueryStats planned_mono_stats;
-        const std::vector<AttributeId> planned_mono =
-            forward ? index.Search(query, params, planned.plan(),
-                                   &planned_mono_stats)
-                    : index.ReverseSearch(query, params, planned.plan(),
-                                          &planned_mono_stats);
-        EXPECT_EQ(planned_mono, exact);
-        ExpectSameFunnel(planned.stats(), planned_mono_stats,
-                         "planner q=" + std::to_string(q));
       }
     }
   }
@@ -257,7 +238,7 @@ TEST(ProgressiveSimdDifferentialTest, BackendsMatchScalar) {
           const std::string context =
               std::string("backend=") + std::to_string(int(backend)) +
               " q=" + std::to_string(q) +
-              " skip_slices=" + std::to_string(plan.skip_slices) +
+              " plan=" + std::to_string(static_cast<int>(plan)) +
               (forward ? " forward" : " reverse");
           EXPECT_EQ(cursor.RunToCompletion(), reference[r].ids) << context;
           ExpectSameFunnel(cursor.stats(), reference[r].stats, context);
@@ -356,7 +337,7 @@ TEST(ProgressiveCursorTest, CancellationAbandonsAtStageBoundary) {
   SearchCursor::Options mid_opts;
   mid_opts.cancel = &mid;
   SearchCursor staged(index, query, params, mid_opts);
-  EXPECT_EQ(staged.Step(), SearchStage::kSlices);
+  EXPECT_EQ(staged.Step(), SearchStage::kRecheck);
   mid.Cancel();
   staged.Step();
   EXPECT_TRUE(staged.done());

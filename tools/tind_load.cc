@@ -81,16 +81,8 @@ void PrintPoint(double qps, const LoadReport& r) {
 }
 
 int Run(const Flags& flags) {
-  const int port = ResolvePort(flags);
-  if (port <= 0) {
-    std::fprintf(stderr,
-                 "need --port=<p> or --port_file=<path> (server not up?)\n");
-    return 1;
-  }
-
   LoadOptions load;
   load.client.host = flags.GetString("host", "127.0.0.1");
-  load.client.port = static_cast<uint16_t>(port);
   load.client.deadline_ms =
       static_cast<uint32_t>(flags.GetInt("deadline_ms", 0));
   load.client.allow_degraded = flags.GetBool("allow_degraded", false);
@@ -138,14 +130,28 @@ int Run(const Flags& flags) {
                 static_cast<unsigned long long>(load.seed));
   }
 
+  const bool sweep_given = flags.Has("sweep");
+  const std::vector<double> ladder =
+      flags.GetDoubleList("sweep", {50, 100, 200, 400});
+  const std::string json_path = flags.GetString("json", "");
+  // ResolvePort reads --port_file and --port_wait_s only without --port.
+  flags.Declare({"port", "port_file", "port_wait_s"});
+  flags.RejectUnread();
+
+  const int port = ResolvePort(flags);
+  if (port <= 0) {
+    std::fprintf(stderr,
+                 "need --port=<p> or --port_file=<path> (server not up?)\n");
+    return 1;
+  }
+  load.client.port = static_cast<uint16_t>(port);
+
   std::printf("%8s %9s %9s %9s %9s %9s %8s %8s %8s\n", "qps", "offered",
               "ok", "degraded", "shed", "deadline", "p50ms", "p99ms",
               "achieved");
 
   SweepResult sweep;
-  if (flags.Has("sweep")) {
-    const std::vector<double> ladder =
-        flags.GetDoubleList("sweep", {50, 100, 200, 400});
+  if (sweep_given) {
     sweep = tind::serve::RunQpsSweep(load, ladder);
     for (const auto& point : sweep.points) PrintPoint(point.qps, point.report);
     std::printf("knee: %.0f qps\n", sweep.knee_qps);
@@ -168,7 +174,6 @@ int Run(const Flags& flags) {
     all_accounted = all_accounted && point.report.AllAccounted();
     other_errors += point.report.other_errors;
   }
-  const std::string json_path = flags.GetString("json", "");
   if (!json_path.empty()) {
     const std::string text = tind::serve::SweepToJson(sweep).Dump(2);
     std::FILE* f = std::fopen(json_path.c_str(), "w");

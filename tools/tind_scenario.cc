@@ -77,7 +77,9 @@ int RunList() {
 int RunDescribe(const std::string& target, const Flags& flags) {
   auto spec = scenario::ResolveScenario(target);
   if (!spec.ok()) return Fail(spec.status());
-  std::printf("%s\n", scenario::ToJson(ApplyOverrides(*spec, flags)).Dump(2).c_str());
+  const scenario::ScenarioSpec resolved = ApplyOverrides(*spec, flags);
+  flags.RejectUnread();
+  std::printf("%s\n", scenario::ToJson(resolved).Dump(2).c_str());
   return 0;
 }
 
@@ -87,6 +89,8 @@ int RunGenerate(const std::string& target, const Flags& flags) {
   const scenario::ScenarioSpec resolved = ApplyOverrides(*spec, flags);
 
   const std::string out = flags.GetString("out", "");
+  const std::string corpus_path = flags.GetString("corpus", "");
+  flags.RejectUnread();
   if (out.empty()) {
     std::fprintf(stderr, "generate requires --out=<spec.json>\n");
     return 1;
@@ -96,7 +100,6 @@ int RunGenerate(const std::string& target, const Flags& flags) {
   std::printf("spec written to %s\n", out.c_str());
 
   // Optionally materialize the corpus itself as a reusable artifact.
-  const std::string corpus_path = flags.GetString("corpus", "");
   if (!corpus_path.empty()) {
     auto corpus = scenario::MaterializeCorpus(resolved);
     if (!corpus.ok()) return Fail(corpus.status());
@@ -121,11 +124,12 @@ int RunRun(const std::string& target, const Flags& flags) {
   options.run_discovery = !flags.GetBool("no_discovery", false);
   options.run_traffic = !flags.GetBool("no_traffic", false);
   options.traffic_repeats = static_cast<int>(flags.GetInt("repeats", 1));
+  const std::string json_path = flags.GetString("json", "");
+  flags.RejectUnread();
 
   auto report = scenario::RunScenario(resolved, options);
   if (!report.ok()) return Fail(report.status());
 
-  const std::string json_path = flags.GetString("json", "");
   const std::string row = report->json.Dump(2);
   if (!json_path.empty()) {
     std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -174,7 +178,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string& command = positional[0];
-  if (command == "list") return RunList();
+  if (command == "list") {
+    flags.RejectUnread();
+    return RunList();
+  }
   if (positional.size() < 2) {
     PrintUsage();
     return 1;

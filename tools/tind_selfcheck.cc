@@ -69,6 +69,10 @@ int RunChaosMode(const tind::Flags& flags) {
       !flags.GetBool("no_kill_resume", false) &&
       flags.GetBool("kill_resume", true);
   options.scenario = flags.GetString("scenario", "");
+  // EmitReport reads --metrics_json last; --no_kill_resume short-circuits
+  // the read of --kill_resume.
+  flags.Declare({"metrics_json", "kill_resume"});
+  flags.RejectUnread();
 
   auto report = tind::eval::RunChaosCheck(options);
   if (!report.ok()) {
@@ -113,6 +117,8 @@ int main(int argc, char** argv) {
   options.run_discovery = flags.GetBool("discovery", true);
   options.use_thread_pool = flags.GetBool("threads", true);
   options.scenario = flags.GetString("scenario", "");
+  flags.Declare({"metrics_json"});  // Read by EmitReport at the end.
+  flags.RejectUnread();
 
   auto report = tind::eval::RunSelfCheck(options);
   if (!report.ok()) {

@@ -263,5 +263,16 @@ int main(int argc, char** argv) {
     std::printf("%s\n", tind::BuildInfoReport().c_str());
     return 0;
   }
+  // Which of these a run reads depends on --corpus, --snapshot and
+  // --preflight, and some are read only at shutdown, so all are declared
+  // before any work starts.
+  flags.Declare({"corpus", "attributes", "days", "seed", "snapshot",
+                 "preflight", "bloom_bits", "hashes", "slices", "eps",
+                 "delta", "index_seed", "no_reverse", "reverse_slices",
+                 "memory_mb", "port", "max_inflight", "degrade_watermark",
+                 "deadline_ms", "max_deadline_ms", "io_timeout_ms",
+                 "linger_us", "batch_window", "max_connections", "ingest",
+                 "port_file", "metrics_json"});
+  flags.RejectUnread();
   return Run(flags);
 }

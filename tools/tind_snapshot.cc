@@ -81,11 +81,6 @@ int RunWrite(const Flags& flags) {
     std::fprintf(stderr, "write requires --out=<path>\n");
     return 1;
   }
-  auto dataset_or = ObtainDataset(flags);
-  if (!dataset_or.ok()) return Fail(dataset_or.status());
-  const Dataset& dataset = *dataset_or;
-
-  const tind::ConstantWeight weight(dataset.domain().num_timestamps());
   tind::TindIndexOptions options;
   options.bloom_bits = static_cast<size_t>(
       flags.GetInt("bloom_bits", static_cast<int64_t>(options.bloom_bits)));
@@ -100,6 +95,14 @@ int RunWrite(const Flags& flags) {
   options.build_reverse_index = !flags.GetBool("no_reverse", false);
   options.reverse_slices = static_cast<size_t>(flags.GetInt(
       "reverse_slices", static_cast<int64_t>(options.reverse_slices)));
+  // With --corpus, ObtainDataset does not read the generator knobs.
+  flags.Declare({"attributes", "days", "seed"});
+  flags.RejectUnread();
+
+  auto dataset_or = ObtainDataset(flags);
+  if (!dataset_or.ok()) return Fail(dataset_or.status());
+  const Dataset& dataset = *dataset_or;
+  const tind::ConstantWeight weight(dataset.domain().num_timestamps());
   options.weight = &weight;
 
   tind::Stopwatch build_watch;
@@ -127,6 +130,7 @@ std::string SnapshotArg(const Flags& flags) {
 
 int RunInspect(const Flags& flags) {
   const std::string path = SnapshotArg(flags);
+  flags.RejectUnread();
   if (path.empty()) {
     std::fprintf(stderr, "inspect requires a snapshot path\n");
     return 1;
@@ -166,6 +170,7 @@ int RunInspect(const Flags& flags) {
 
 int RunVerify(const Flags& flags) {
   const std::string path = SnapshotArg(flags);
+  flags.RejectUnread();
   if (path.empty()) {
     std::fprintf(stderr, "verify requires a snapshot path\n");
     return 1;
