@@ -217,5 +217,9 @@ int Run(const Flags& flags) {
 }  // namespace tind
 
 int main(int argc, char** argv) {
-  return tind::bench::RunHarness(argc, argv, tind::Run);
+  return tind::bench::RunHarness(
+      argc, argv,
+      {"attributes", "days", "seed", "queries", "batch_sizes", "bloom_bits",
+       "csv", "delta", "eps", "json", "repeats", "require_speedup", "slices"},
+      tind::Run);
 }

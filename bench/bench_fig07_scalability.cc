@@ -148,5 +148,9 @@ int Run(const Flags& flags) {
 }  // namespace tind
 
 int main(int argc, char** argv) {
-  return tind::bench::RunHarness(argc, argv, tind::Run);
+  return tind::bench::RunHarness(
+      argc, argv,
+      {"days", "seed", "queries", "bloom_bits", "csv", "kmany_query_budget",
+       "simulated_concurrency", "sizes", "slices"},
+      tind::Run);
 }

@@ -68,5 +68,8 @@ int Run(const Flags& flags) {
 }  // namespace tind
 
 int main(int argc, char** argv) {
-  return tind::bench::RunHarness(argc, argv, tind::Run);
+  return tind::bench::RunHarness(
+      argc, argv,
+      {"attributes", "days", "seed", "queries", "csv", "deltas", "epsilons"},
+      tind::Run);
 }

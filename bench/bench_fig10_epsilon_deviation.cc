@@ -61,5 +61,9 @@ int Run(const Flags& flags) {
 }  // namespace tind
 
 int main(int argc, char** argv) {
-  return tind::bench::RunHarness(argc, argv, tind::Run);
+  return tind::bench::RunHarness(
+      argc, argv,
+      {"attributes", "days", "seed", "queries", "csv", "delta", "factors",
+       "query_eps"},
+      tind::Run);
 }

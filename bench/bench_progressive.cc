@@ -200,5 +200,10 @@ int RunProgressive(const Flags& flags) {
 }  // namespace tind
 
 int main(int argc, char** argv) {
-  return tind::bench::RunHarness(argc, argv, tind::RunProgressive);
+  return tind::bench::RunHarness(
+      argc, argv,
+      {"attributes", "days", "seed", "queries", "bloom_bits", "csv", "delta",
+       "eps", "json", "max_planner_ratio", "require_ttfr_speedup",
+       "reverse_frac", "slices"},
+      tind::RunProgressive);
 }

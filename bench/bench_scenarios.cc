@@ -120,5 +120,9 @@ int Run(const Flags& flags) {
 }  // namespace tind
 
 int main(int argc, char** argv) {
-  return tind::bench::RunHarness(argc, argv, tind::Run);
+  return tind::bench::RunHarness(
+      argc, argv,
+      {"csv", "json", "repeats", "require_floors", "scenarios", "sequential",
+       "specs"},
+      tind::Run);
 }

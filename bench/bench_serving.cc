@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/fault_injection.h"
 #include "common/memory_budget.h"
 #include "common/table_printer.h"
 #include "obs/json.h"
@@ -133,16 +134,21 @@ int RunServing(const Flags& flags) {
   const auto counters = server.counters();
 
   // ---- Overload stage: >= 2x knee against a harshly provisioned server.
-  // Raw capacity is machine-dependent, so the storm targets a server whose
-  // admission bound is small and whose group-commit linger is long: with
-  // qps * linger > max_inflight, every commit window accumulates more
-  // arrivals than there are slots, and the surplus MUST be shed — typed,
-  // on any machine. Accepted requests still finish well inside their
-  // deadline (linger + execution << deadline).
+  // Raw capacity is machine-dependent, so the storm holds a quarter of the
+  // dispatched groups with the serve/group_pause fault point (compiled in
+  // by default): with qps * pause > max_inflight, every held group leaves
+  // more arrivals than there are slots, and the surplus MUST be shed —
+  // typed, on any machine. The groups that are not held answer at once, so
+  // accepted requests still complete inside their deadline.
   serve::ServerOptions storm_options = server_options;
   storm_options.max_inflight = 8;
   storm_options.degrade_watermark = 6;
-  storm_options.batch_linger_us = 40000;
+  const Status armed =
+      FaultInjector::Global().Configure("serve/group_pause=0.25", base.seed);
+  if (!armed.ok()) {
+    std::fprintf(stderr, "storm pause: %s\n", armed.ToString().c_str());
+    return 1;
+  }
   serve::TindServer storm_server(**index_or, params, storm_options);
   const Status storm_started = storm_server.Start();
   if (!storm_started.ok()) {
@@ -161,6 +167,7 @@ int RunServing(const Flags& flags) {
   const serve::LoadReport storm = serve::RunOpenLoopLoad(overload);
   const double p99_accepted_ms = storm_server.LatencyPercentileMs(99);
   storm_server.Shutdown();
+  FaultInjector::Global().Reset();
 
   std::printf(
       "overload @ %.0f qps (%zu clients vs %zu slots): offered=%llu ok=%llu "
@@ -253,5 +260,10 @@ int RunServing(const Flags& flags) {
 }  // namespace tind
 
 int main(int argc, char** argv) {
-  return tind::bench::RunHarness(argc, argv, tind::RunServing);
+  return tind::bench::RunHarness(
+      argc, argv,
+      {"attributes", "days", "seed", "csv", "deadline_ms", "degrade_watermark",
+       "duration_s", "json", "load_seed", "max_attempts", "max_inflight",
+       "memory_mb", "sweep", "workers"},
+      tind::RunServing);
 }

@@ -221,5 +221,9 @@ int Run(const Flags& flags) {
 }  // namespace tind
 
 int main(int argc, char** argv) {
-  return tind::bench::RunHarness(argc, argv, tind::Run);
+  return tind::bench::RunHarness(
+      argc, argv,
+      {"seed", "queries", "batch_sizes", "bloom_bits", "columns", "csv", "json",
+       "repeats", "require_speedup", "values"},
+      tind::Run);
 }

@@ -213,5 +213,10 @@ int Run(const Flags& flags) {
 }  // namespace tind
 
 int main(int argc, char** argv) {
-  return tind::bench::RunHarness(argc, argv, tind::Run);
+  return tind::bench::RunHarness(
+      argc, argv,
+      {"attributes", "days", "seed", "queries", "bloom_bits", "csv", "delta",
+       "eps", "json", "load_reps", "query_reps", "require_speedup",
+       "require_throughput", "slices", "snapshot"},
+      tind::Run);
 }

@@ -264,5 +264,9 @@ int Run(const Flags& flags) {
 }  // namespace tind
 
 int main(int argc, char** argv) {
-  return tind::bench::RunHarness(argc, argv, tind::Run);
+  return tind::bench::RunHarness(
+      argc, argv,
+      {"attributes", "days", "seed", "queries", "bloom_bits", "csv", "delta",
+       "eps", "json", "ops", "reps", "require_speedup", "slices", "snapshot"},
+      tind::Run);
 }

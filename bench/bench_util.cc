@@ -48,14 +48,18 @@ void FinishMetrics(const Flags& flags) {
   }
 }
 
-int RunHarness(int argc, char** argv, int (*run)(const Flags&)) {
+int RunHarness(int argc, char** argv,
+               std::initializer_list<const char*> bench_flags,
+               int (*run)(const Flags&)) {
   const Flags flags = Flags::Parse(argc, argv);
+  flags.Declare(bench_flags);
+  flags.Declare({"metrics_json", "metrics_csv", "metrics"});
+  // Before any work: a misspelt flag, or one that belongs to another
+  // binary, fails at once instead of after the whole run.
+  flags.RejectUnread();
   InitMetrics(flags);
   const int rc = run(flags);
   FinishMetrics(flags);
-  // The harness has read every flag it uses; any other given flag is
-  // misspelt or belongs to another binary.
-  flags.RejectUnread();
   return rc;
 }
 

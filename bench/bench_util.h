@@ -11,6 +11,7 @@
 ///   --metrics_json=out.json   or   --metrics_csv=out.csv
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -25,10 +26,14 @@ namespace tind::bench {
 /// Standard harness entry point: parses argv, enables the global metrics
 /// registry when --metrics_json/--metrics_csv/--metrics is present, invokes
 /// `run`, exports the registry, and returns `run`'s exit code. Metrics stay
-/// fully disabled (zero overhead) unless one of those flags was passed. A
-/// given flag that neither `run` nor the harness read exits with
-/// StatusExitCode(InvalidArgument) (Flags::RejectUnread).
-int RunHarness(int argc, char** argv, int (*run)(const Flags&));
+/// fully disabled (zero overhead) unless one of those flags was passed.
+/// `bench_flags` names every flag `run` reads (BuildCorpus reads
+/// attributes, days and seed; EmitTable reads csv): a given flag outside
+/// them and the metrics flags exits with StatusExitCode(InvalidArgument)
+/// (Flags::RejectUnread) before `run` starts.
+int RunHarness(int argc, char** argv,
+               std::initializer_list<const char*> bench_flags,
+               int (*run)(const Flags&));
 
 /// The pieces of RunHarness, for harnesses with their own main shape.
 void InitMetrics(const Flags& flags);

@@ -504,10 +504,11 @@ Result<ChaosReport> RunChaosCheck(const ChaosOptions& options) {
 
   // ---- Stage 7: serving chaos -------------------------------------------
   // A forked child serves the prebuilt index (copy-on-write) over TCP; the
-  // parent plays an adversarial client: correctness vs the direct index,
-  // garbage / bit-flipped frames, a slow loris, a SIGKILL mid-stream with a
-  // respawn the retrying client must converge through, and finally a
-  // SIGTERM that must drain and exit 0.
+  // parent checks what only a separate process can show: a SIGKILL with a
+  // respawn the retrying client must converge through, a SIGTERM that must
+  // drain and exit 0, and a SIGKILL between a stream's partial and final
+  // frames. serve_test pins the in-process contracts (answers, malformed
+  // frames, slow loris, stream deadlines).
 #if defined(__unix__) || defined(__APPLE__)
   if (options.run_kill_resume) {
     const std::string port_path = options.work_dir + "/chaos-port-" + tag;
@@ -515,7 +516,6 @@ Result<ChaosReport> RunChaosCheck(const ChaosOptions& options) {
     injector.Reset();
 
     serve::ServerOptions server_options;
-    server_options.io_timeout_ms = 200;  // Aggressive slow-loris guard.
     server_options.default_deadline_ms = 1000;
 
     const auto spawn_server = [&](uint16_t fixed_port,
@@ -528,7 +528,7 @@ Result<ChaosReport> RunChaosCheck(const ChaosOptions& options) {
       FaultInjector::Global().Reset();
       if (paced &&
           !FaultInjector::Global()
-               .Configure("serve/stream_pause=1", options.seed)
+               .Configure("serve/group_pause=1", options.seed)
                .ok()) {
         ::_exit(5);
       }
@@ -554,23 +554,24 @@ Result<ChaosReport> RunChaosCheck(const ChaosOptions& options) {
       ::_exit(0);
     };
 
-    pid_t server_pid = spawn_server(0, server_options);
-    uint16_t port = 0;
-    if (server_pid > 0) {
+    // The port a child spawned on port 0 publishes, or 0 after 10 s.
+    const auto published_port = [&](pid_t pid) -> uint16_t {
+      if (pid <= 0) return 0;
       // Wall-clock deadline, not an iteration count: under load a counted
       // poll can exhaust its budget long before the advertised timeout.
       const auto port_deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      while (port == 0 && std::chrono::steady_clock::now() < port_deadline) {
+      while (std::chrono::steady_clock::now() < port_deadline) {
         std::ifstream in(port_path);
         int parsed = 0;
-        if (in >> parsed && parsed > 0) {
-          port = static_cast<uint16_t>(parsed);
-          break;
-        }
+        if (in >> parsed && parsed > 0) return static_cast<uint16_t>(parsed);
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
       }
-    }
+      return 0;
+    };
+
+    pid_t server_pid = spawn_server(0, server_options);
+    const uint16_t port = published_port(server_pid);
     checks.Record("serve_child_started", port != 0,
                   port != 0 ? "" : "no port published within 10s");
     if (port != 0) {
@@ -593,142 +594,6 @@ Result<ChaosReport> RunChaosCheck(const ChaosOptions& options) {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
       }
       checks.Record("serve_ping_ok", up.ok(), up.ToString());
-
-      // A: served answers must be bit-identical to direct index calls.
-      bool all_match = true;
-      std::string mismatch;
-      for (size_t q = 0; q < dataset.size() && all_match; q += 7) {
-        const AttributeId attr = static_cast<AttributeId>(q);
-        const auto& history = dataset.attribute(attr);
-        auto forward = client.Search(attr);
-        auto reverse = client.ReverseSearch(attr);
-        if (!forward.ok() || forward->ids != index.Search(history, params) ||
-            !reverse.ok() ||
-            reverse->ids != index.ReverseSearch(history, params)) {
-          all_match = false;
-          mismatch = "attribute " + std::to_string(q) + ": " +
-                     (forward.ok() ? reverse.status().ToString()
-                                   : forward.status().ToString());
-        }
-      }
-      checks.Record("serve_answers_match_direct_index", all_match, mismatch);
-
-      // A2: the progressive stream op — the final frame must equal the
-      // direct index call, and the partial frame that preceded it must be
-      // a sound superset of that exact answer, in both directions.
-      const auto is_sound_superset = [](std::vector<AttributeId> superset,
-                                        std::vector<AttributeId> exact) {
-        std::sort(superset.begin(), superset.end());
-        std::sort(exact.begin(), exact.end());
-        return std::includes(superset.begin(), superset.end(), exact.begin(),
-                             exact.end());
-      };
-      bool streams_match = true;
-      std::string stream_mismatch;
-      for (size_t q = 0; q < dataset.size() && streams_match; q += 11) {
-        const AttributeId attr = static_cast<AttributeId>(q);
-        const auto& history = dataset.attribute(attr);
-        serve::StreamReply forward;
-        serve::StreamReply reverse;
-        const Status forward_status = client.SearchStream(attr, &forward);
-        const Status reverse_status =
-            client.ReverseSearchStream(attr, &reverse);
-        const auto exact_forward = index.Search(history, params);
-        const auto exact_reverse = index.ReverseSearch(history, params);
-        if (!forward_status.ok() || forward.ids != exact_forward ||
-            !forward.got_partial ||
-            !is_sound_superset(forward.partial_ids, exact_forward) ||
-            !reverse_status.ok() || reverse.ids != exact_reverse ||
-            !reverse.got_partial ||
-            !is_sound_superset(reverse.partial_ids, exact_reverse)) {
-          streams_match = false;
-          stream_mismatch =
-              "attribute " + std::to_string(q) + ": " +
-              (forward_status.ok() ? reverse_status.ToString()
-                                   : forward_status.ToString());
-        }
-      }
-      checks.Record("serve_stream_answers_match_direct_index", streams_match,
-                    stream_mismatch);
-
-      // B: garbage and bit-flipped frames get typed errors; the server
-      // survives and keeps answering healthy clients.
-      auto raw = serve::ConnectTcp("127.0.0.1", port, 1000);
-      if (raw.ok()) {
-        const Status sent =
-            serve::SendAll(*raw, "????definitely not a TIND frame????", 1000);
-        auto reply = serve::RecvFrame(*raw, 3000, 3000);
-        checks.Record(
-            "serve_garbage_frame_typed_error",
-            sent.ok() && reply.ok() &&
-                reply->header.type == serve::MessageType::kError &&
-                serve::DecodeErrorResponse(reply->payload).IsInvalidArgument(),
-            reply.ok() ? "" : reply.status().ToString());
-        serve::CloseFd(*raw);
-      } else {
-        checks.Record("serve_garbage_frame_typed_error", false,
-                      raw.status().ToString());
-      }
-      auto flip = serve::ConnectTcp("127.0.0.1", port, 1000);
-      if (flip.ok()) {
-        std::string frame = serve::EncodeFrame(
-            serve::MessageType::kSearch, 77,
-            serve::EncodeSearchRequest(serve::SearchRequest{}));
-        frame[serve::kFrameHeaderBytes + 1] ^= 0x04;
-        const Status sent = serve::SendAll(*flip, frame, 1000);
-        auto reply = serve::RecvFrame(*flip, 3000, 3000);
-        checks.Record("serve_bit_flip_typed_error",
-                      sent.ok() && reply.ok() &&
-                          reply->header.type == serve::MessageType::kError,
-                      reply.ok() ? "" : reply.status().ToString());
-        serve::CloseFd(*flip);
-      } else {
-        checks.Record("serve_bit_flip_typed_error", false,
-                      flip.status().ToString());
-      }
-      // Garbage inside a kSearchStream payload specifically: the stream op
-      // must reject it typed before any partial frame goes out.
-      auto stream_garbage = serve::ConnectTcp("127.0.0.1", port, 1000);
-      if (stream_garbage.ok()) {
-        const Status sent = serve::SendAll(
-            *stream_garbage,
-            serve::EncodeFrame(serve::MessageType::kSearchStream, 79,
-                               "garbage stream payload"),
-            1000);
-        auto reply = serve::RecvFrame(*stream_garbage, 3000, 3000);
-        checks.Record(
-            "serve_garbage_stream_payload_typed_error",
-            sent.ok() && reply.ok() &&
-                reply->header.type == serve::MessageType::kError &&
-                serve::DecodeErrorResponse(reply->payload).IsInvalidArgument(),
-            reply.ok() ? "" : reply.status().ToString());
-        serve::CloseFd(*stream_garbage);
-      } else {
-        checks.Record("serve_garbage_stream_payload_typed_error", false,
-                      stream_garbage.status().ToString());
-      }
-      checks.Record("serve_survives_malformed_frames", client.Search(0).ok());
-
-      // C: a slow loris (frame started, then silence) is cut within the
-      // io timeout; the server stays responsive throughout.
-      auto loris = serve::ConnectTcp("127.0.0.1", port, 1000);
-      if (loris.ok()) {
-        const std::string frame = serve::EncodeFrame(
-            serve::MessageType::kSearch, 78,
-            serve::EncodeSearchRequest(serve::SearchRequest{}));
-        const Status dribble = serve::SendAll(
-            *loris, std::string_view(frame).substr(0, 6), 1000);
-        const bool mid_loris_ok = client.Search(0).ok();
-        auto cut = serve::RecvFrame(*loris, 3000, 3000);
-        checks.Record("serve_slow_loris_cut",
-                      dribble.ok() && cut.status().IsIOError(),
-                      cut.status().ToString());
-        checks.Record("serve_alive_during_loris", mid_loris_ok);
-        serve::CloseFd(*loris);
-      } else {
-        checks.Record("serve_slow_loris_cut", false,
-                      loris.status().ToString());
-      }
 
       // D: SIGKILL mid-stream, respawn on the same port; the client's
       // retry/backoff + reconnect must converge to the correct answer.
@@ -763,72 +628,23 @@ Result<ChaosReport> RunChaosCheck(const ChaosOptions& options) {
                       "respawn fork failed");
       }
 
-      // F: progressive streaming chaos against a *paced* child — its armed
-      // serve/stream_pause fault point holds every stream between the
-      // partial frame and the final one, so deadline and mid-stream kill
-      // interleavings are deterministic instead of racy.
+      // F: a *paced* child — its armed serve/group_pause fault point holds
+      // every stream between the partial frame and the final one, so the
+      // mid-stream kill lands there deterministically instead of racily.
       std::remove(port_path.c_str());
       serve::ServerOptions paced_options = server_options;
       paced_options.default_deadline_ms = 10000;
       pid_t paced_pid = spawn_server(0, paced_options, /*paced=*/true);
-      uint16_t paced_port = 0;
-      if (paced_pid > 0) {
-        const auto paced_deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(10);
-        while (paced_port == 0 &&
-               std::chrono::steady_clock::now() < paced_deadline) {
-          std::ifstream in(port_path);
-          int parsed = 0;
-          if (in >> parsed && parsed > 0) {
-            paced_port = static_cast<uint16_t>(parsed);
-            break;
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        }
-      }
+      const uint16_t paced_port = published_port(paced_pid);
       checks.Record("serve_paced_child_started", paced_port != 0,
                     paced_port != 0 ? "" : "no port published within 10s");
       if (paced_port != 0) {
         const AttributeId stream_attr =
             static_cast<AttributeId>(dataset.size() / 3);
-        const auto stream_exact =
+        const std::vector<AttributeId> stream_exact =
             index.Search(dataset.attribute(stream_attr), params);
 
-        // F1: deadline shorter than the pace, with degraded consent — the
-        // stream finishes early with the best completed stage, flagged
-        // degraded, and the answer is still a sound superset of exact.
-        serve::ClientOptions paced_client_options = client_options;
-        paced_client_options.port = paced_port;
-        paced_client_options.deadline_ms = 50;
-        paced_client_options.allow_degraded = true;
-        {
-          serve::TindClient paced_client(paced_client_options);
-          serve::StreamReply reply;
-          const Status streamed =
-              paced_client.SearchStream(stream_attr, &reply);
-          checks.Record(
-              "serve_stream_deadline_degrades_with_consent",
-              streamed.ok() && reply.degraded && reply.got_partial &&
-                  is_sound_superset(reply.ids, stream_exact),
-              streamed.ToString());
-        }
-
-        // F2: the same deadline without consent — a typed DeadlineExceeded
-        // after the partial landed; the client keeps the sound superset.
-        paced_client_options.allow_degraded = false;
-        {
-          serve::TindClient strict_client(paced_client_options);
-          serve::StreamReply reply;
-          const Status streamed =
-              strict_client.SearchStream(stream_attr, &reply);
-          checks.Record(
-              "serve_stream_deadline_typed_without_consent",
-              streamed.IsDeadlineExceeded() && reply.got_partial &&
-                  is_sound_superset(reply.partial_ids, stream_exact),
-              streamed.ToString());
-        }
-
-        // F3: SIGKILL mid-stream — after the partial frame but before the
+        // SIGKILL mid-stream — after the partial frame but before the
         // final one. The partial already received must be a sound superset
         // the caller can fall back to; the severed stream surfaces as a
         // transport error, never a hang or a fabricated final frame.
@@ -850,8 +666,12 @@ Result<ChaosReport> RunChaosCheck(const ChaosOptions& options) {
                   serve::MessageType::kSearchPartial) {
             auto partial =
                 serve::DecodeSearchPartial(partial_frame->payload);
-            partial_sound = partial.ok() &&
-                            is_sound_superset(partial->ids, stream_exact);
+            if (partial.ok()) {
+              std::sort(partial->ids.begin(), partial->ids.end());
+              partial_sound = std::includes(
+                  partial->ids.begin(), partial->ids.end(),
+                  stream_exact.begin(), stream_exact.end());
+            }
           }
           checks.Record("serve_stream_partial_before_kill", partial_sound,
                         partial_frame.ok()

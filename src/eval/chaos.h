@@ -25,14 +25,13 @@
 ///     truncated or bit-flipped snapshots must be rejected with typed
 ///     errors,
 ///  8. serving chaos (gated on run_kill_resume, like stage 2 — it forks):
-///     a child process serves the index over TCP while the parent plays an
-///     adversarial client — served answers must be bit-identical to direct
-///     index calls; garbage and bit-flipped frames must earn typed errors
-///     without killing the server; a slow-loris connection must be cut
-///     within the io timeout; after a SIGKILL mid-stream and a respawn on
-///     the same port, the client's retry/backoff + reconnect must converge
-///     to the correct answer with zero hung requests; and SIGTERM must
-///     drain in-flight work and exit 0,
+///     a child process serves the index over TCP and the parent checks what
+///     needs a separate process — after a SIGKILL and a respawn on the same
+///     port, the client's retry/backoff + reconnect must converge to the
+///     correct answer; SIGTERM must drain in-flight work and exit 0; and a
+///     SIGKILL between a stream's partial and final frames must leave the
+///     partial sound and surface as a transport error (serve_test pins the
+///     in-process serving contracts),
 ///  9. live-ingest chaos: a seeded revision delta is pushed through
 ///     IndexUpdater::ApplyDelta with the "update/alloc" and "update/patch"
 ///     fault points armed — each injected failure must surface as a typed

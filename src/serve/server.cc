@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #endif
 
+#include "bloom/bloom_batch.h"
 #include "common/fault_injection.h"
 #include "obs/metrics.h"
 #include "tind/progressive.h"
@@ -24,8 +25,11 @@ using Clock = std::chrono::steady_clock;
 /// Poll tick for loops that must notice the stop flag while blocked on I/O.
 constexpr int kIdlePollMs = 100;
 
-/// How long an armed serve/stream_pause fault point holds a stream.
-constexpr std::chrono::milliseconds kStreamPause(300);
+/// Most requests one dispatch takes off the queue: the cursor's group size.
+constexpr size_t kMaxDispatch = kBloomBatchGroupSize;
+
+/// How long an armed serve/group_pause fault point holds a group.
+constexpr std::chrono::milliseconds kGroupPause(300);
 
 Status IngestDisabled() {
   return Status::FailedPrecondition(
@@ -130,9 +134,11 @@ void TindServer::Shutdown() {
     std::unique_lock<std::mutex> lock(queue_mutex_);
     queue_cv_.notify_all();
     drain_cv_.wait(lock, [this] { return inflight_ == 0; });
+    // Set under the queue lock: a batcher between testing its wait
+    // predicate and blocking would otherwise miss the wakeup below.
+    stop_.store(true);
   }
   // Phase 3: tear down the threads and sockets.
-  stop_.store(true);
   queue_cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
   if (batcher_thread_.joinable()) batcher_thread_.join();
@@ -444,22 +450,11 @@ void TindServer::BatcherLoop() {
       std::unique_lock<std::mutex> lock(queue_mutex_);
       queue_cv_.wait(lock,
                      [this] { return stop_.load() || !queue_.empty(); });
-      if (queue_.empty()) {
-        if (stop_.load()) break;
-        continue;
-      }
-      // Group commit: linger briefly so concurrent arrivals share one
-      // dispatch window (the Bloom matrices stream once per group).
-      if (queue_.size() < options_.batch_window &&
-          options_.batch_linger_us > 0 && !stop_.load()) {
-        queue_cv_.wait_for(
-            lock, std::chrono::microseconds(options_.batch_linger_us),
-            [this] {
-              return stop_.load() || queue_.size() >= options_.batch_window;
-            });
-      }
+      if (queue_.empty()) break;  // Stopped with nothing left to answer.
+      // Natural group commit: an idle batcher dispatches at once, and what
+      // queues while a group runs forms the next group.
       depth_at_pop = queue_.size();
-      const size_t take = std::min(queue_.size(), options_.batch_window);
+      const size_t take = std::min(queue_.size(), kMaxDispatch);
       batch.reserve(take);
       for (size_t i = 0; i < take; ++i) {
         batch.push_back(std::move(queue_.front()));
@@ -534,7 +529,6 @@ void TindServer::RunGroup(const std::vector<PendingRequest*>& requests,
   cursor.Step();
   std::vector<char> probed(members.size());
   for (size_t b = 0; b < members.size(); ++b) probed[b] = !cursor.cancelled(b);
-  bool streamed = false;
   for (size_t r = 0; r < requests.size(); ++r) {
     PendingRequest& request = *requests[r];
     if (request.type != MessageType::kSearchStream || !probed[begin[r]]) {
@@ -546,12 +540,12 @@ void TindServer::RunGroup(const std::vector<PendingRequest*>& requests,
     SendToConnection(request.conn, MessageType::kSearchPartial,
                      request.request_id, EncodeSearchPartial(partial));
     ttfr_ms_->Observe(MillisSince(request.admitted));
-    streamed = true;
   }
-  // Fault point: hold the funnel between the partial and the final frames
-  // so a test can land a deadline or a kill there deterministically.
-  if (streamed && TIND_FAULT_POINT("serve/stream_pause")) {
-    std::this_thread::sleep_for(kStreamPause);
+  // Fault point: hold the group after its probe (and a stream's partial
+  // frame) so a test can land a deadline, a kill, a queue of followers or
+  // an overload there deterministically.
+  if (TIND_FAULT_POINT("serve/group_pause")) {
+    std::this_thread::sleep_for(kGroupPause);
   }
 
   // Stage 2 (the exact recheck), then the brown-out: in an overloaded

@@ -5,8 +5,11 @@
 /// TindServer: a long-lived, overload-resilient query service over a built
 /// (or mmap-loaded) TindIndex. One listener thread accepts loopback TCP
 /// connections; one reader thread per connection parses wire.h frames; a
-/// batcher thread drains the bounded admission queue in group-commit
-/// windows and steps every request of one (direction, ε, δ) — searches,
+/// batcher thread drains the bounded admission queue by natural group
+/// commit. An idle batcher dispatches a request at once; whatever queues
+/// while a group runs forms the next group, up to the cursor's group size,
+/// so groups grow with load and no timer holds a ready request back. The
+/// batcher steps every request of one (direction, ε, δ) — searches,
 /// discovery windows and streams alike — through one SearchCursor
 /// (tind/progressive.h) in the default stage order, whose slice cost rule
 /// decides each member's slices after its recheck. Each admitted request's
@@ -57,29 +60,23 @@ class Counter;
 class Histogram;
 }  // namespace tind::obs
 
-namespace tind {
-}  // namespace tind
-
 namespace tind::serve {
 
 struct ServerOptions {
   uint16_t port = 0;  ///< 0 binds an ephemeral port (see TindServer::port()).
-  /// Admission bound: requests beyond this many queued + executing are shed
-  /// with ResourceExhausted.
+  /// Admission bound: a request that finds this many requests queued (not
+  /// counting the group executing) is shed with ResourceExhausted.
   size_t max_inflight = 256;
   /// Queue depth at dispatch time at or above which consenting requests are
-  /// answered in degraded (Bloom-superset) mode. Set >= max_inflight to
-  /// never degrade, 0 to always degrade consenting requests.
+  /// answered in degraded mode: the superset left after the exact recheck.
+  /// Set >= max_inflight to never degrade, 0 to always degrade consenting
+  /// requests.
   size_t degrade_watermark = 192;
   uint32_t default_deadline_ms = 200;  ///< Applied when a request sends 0.
   uint32_t max_deadline_ms = 5000;     ///< Clamp on client-supplied budgets.
   /// Slow-loris guard: a frame that started must complete, and a response
   /// write must drain, within this budget or the connection is dropped.
   uint32_t io_timeout_ms = 2000;
-  /// Group-commit: how long the batcher lingers for more requests before
-  /// dispatching a smaller window.
-  uint32_t batch_linger_us = 500;
-  size_t batch_window = 64;  ///< Max requests per dispatch window.
   size_t max_connections = 64;
   /// Optional admission budget (not owned). Each admitted request reserves
   /// its worst-case response bytes; reservation failure sheds the request

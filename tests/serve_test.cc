@@ -28,7 +28,8 @@
 /// bit-identical to direct TindIndex calls; overload is shed with typed
 /// errors; consenting requests degrade to flagged supersets under
 /// watermark pressure; queue-expired deadlines surface as DeadlineExceeded;
-/// the client's retry/backoff machinery converges; and Shutdown() drains
+/// requests that queue behind a running group form the next dispatch; the
+/// client's retry/backoff machinery converges; and Shutdown() drains
 /// in-flight work before tearing down.
 
 namespace tind::serve {
@@ -71,13 +72,23 @@ class ServeTest : public ::testing::Test {
     index_ = std::move(*built);
   }
 
-  void TearDown() override { FaultInjector::Global().Reset(); }
+  void TearDown() override {
+    FaultInjector::Global().Reset();
+    obs::MetricsRegistry::Global().set_enabled(false);
+  }
 
-  /// Every stream then pauses between its partial and its final frame long
-  /// enough for a short deadline or client timeout to land there.
-  void ArmStreamPause() {
+  /// Every dispatched group then pauses after its probe (a stream after its
+  /// partial frame) long enough for a short deadline, a client timeout or
+  /// more arrivals to land there.
+  void ArmGroupPause() {
     ASSERT_TRUE(
-        FaultInjector::Global().Configure("serve/stream_pause=1", 1).ok());
+        FaultInjector::Global().Configure("serve/group_pause=1", 1).ok());
+  }
+
+  /// Waits until the armed group pause holds the first dispatched group.
+  static bool WaitUntilGroupHeld() {
+    return WaitUntil(
+        [] { return FaultInjector::Global().fired("serve/group_pause") >= 1; });
   }
 
   TindIndexOptions BuildOptions() const {
@@ -263,9 +274,7 @@ TEST_F(ServeTest, WatermarkDegradesConsentingRequestsToSupersets) {
 }
 
 TEST_F(ServeTest, QueueExpiredDeadlineIsDeadlineExceeded) {
-  ServerOptions options;
-  options.batch_linger_us = 0;
-  auto server = StartServer(options);
+  auto server = StartServer(ServerOptions{});
   ClientOptions client_options = ClientFor(*server);
   client_options.deadline_ms = 1;
   TindClient client(client_options);
@@ -428,8 +437,12 @@ TEST_F(ServeTest, SlowLorisConnectionIsCutWithoutHangingTheServer) {
 }
 
 TEST_F(ServeTest, ShutdownDrainsInFlightRequests) {
+  // The first request's group is held while the rest queue behind it, so
+  // Shutdown() starts with work both executing and queued. The deadline
+  // outlasts the holds: the drain answers that work rather than expiring it.
+  ArmGroupPause();
   ServerOptions options;
-  options.batch_linger_us = 20000;  // Hold a window open so work queues up.
+  options.default_deadline_ms = 5000;
   auto server = StartServer(options);
   auto fd = ConnectTcp("127.0.0.1", server->port(), 1000);
   ASSERT_TRUE(fd.ok());
@@ -442,6 +455,9 @@ TEST_F(ServeTest, ShutdownDrainsInFlightRequests) {
     ASSERT_TRUE(SendFrame(*fd, MessageType::kSearch, id,
                           EncodeSearchRequest(request), 1000)
                     .ok());
+    if (id == 1 && !TIND_FAULT_INJECTION_DISABLED) {
+      ASSERT_TRUE(WaitUntilGroupHeld());
+    }
   }
   // Wait for the whole burst to be admitted: the drain guarantee covers
   // admitted requests, not bytes still sitting in the kernel's buffers.
@@ -463,6 +479,53 @@ TEST_F(ServeTest, ShutdownDrainsInFlightRequests) {
   const auto counters = server->counters();
   EXPECT_EQ(counters.accepted,
             counters.completed + counters.deadline_exceeded);
+}
+
+TEST_F(ServeTest, RequestsQueuedBehindAHeldGroupFormTheNextDispatch) {
+  if (TIND_FAULT_INJECTION_DISABLED) GTEST_SKIP() << "fault points off";
+  if (TIND_OBS_DISABLED) GTEST_SKIP() << "metrics compiled out";
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.set_enabled(true);  // TearDown disables it again.
+  ArmGroupPause();
+  ServerOptions options;
+  options.default_deadline_ms = 5000;  // Outlasts the holds.
+  auto server = StartServer(options);
+  auto fd = ConnectTcp("127.0.0.1", server->port(), 1000);
+  ASSERT_TRUE(fd.ok());
+  const auto send_search = [&](uint64_t id) {
+    SearchRequest request;
+    request.attribute = static_cast<AttributeId>(id - 1);
+    request.epsilon = 3.0;
+    request.delta = 7;
+    return SendFrame(*fd, MessageType::kSearch, id,
+                     EncodeSearchRequest(request), 1000);
+  };
+  // An idle batcher dispatches the first request alone, at once.
+  ASSERT_TRUE(send_search(1).ok());
+  ASSERT_TRUE(WaitUntilGroupHeld());
+  const obs::Histogram* sizes = registry.GetHistogram("serve/batch_size");
+  const uint64_t dispatches_before = sizes->count();
+  const double requests_before = sizes->sum();
+  // Everything that arrives while that group is held is the next group.
+  constexpr uint64_t kFollowers = 8;
+  for (uint64_t id = 2; id <= 1 + kFollowers; ++id) {
+    ASSERT_TRUE(send_search(id).ok());
+  }
+  for (uint64_t i = 0; i < 1 + kFollowers; ++i) {
+    auto frame = RecvFrame(*fd, 5000, 5000);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    ASSERT_EQ(frame->header.type, MessageType::kSearchResult);
+    auto reply = DecodeSearchResponse(frame->payload);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    const auto attr = static_cast<AttributeId>(frame->header.request_id - 1);
+    EXPECT_EQ(reply->ids,
+              index_->Search(corpus_->dataset.attribute(attr), Params()));
+  }
+  CloseFd(*fd);
+  EXPECT_EQ(sizes->count() - dispatches_before, 1u);
+  EXPECT_EQ(sizes->sum() - requests_before, static_cast<double>(kFollowers));
+  server->Shutdown();
+  EXPECT_EQ(server->counters().completed, 1 + kFollowers);
 }
 
 TEST_F(ServeTest, IngestDisabledRejectsApplyDeltaAsFailedPrecondition) {
@@ -591,10 +654,10 @@ TEST_F(ServeTest, StreamedAnswersMatchDirectIndexCallsWithSoundPartials) {
 
 TEST_F(ServeTest, StreamDeadlineDegradesToBestStageWithConsent) {
   if (TIND_FAULT_INJECTION_DISABLED) GTEST_SKIP() << "fault points off";
-  // The stream pause holds the funnel between the partial and the final
+  // The group pause holds the funnel between the partial and the final
   // frame long enough for the 50 ms deadline to fire deterministically
   // mid-stream.
-  ArmStreamPause();
+  ArmGroupPause();
   auto server = StartServer(ServerOptions{});
   ClientOptions client_options = ClientFor(*server);
   client_options.deadline_ms = 50;
@@ -615,7 +678,7 @@ TEST_F(ServeTest, StreamDeadlineDegradesToBestStageWithConsent) {
 
 TEST_F(ServeTest, StreamDeadlineWithoutConsentErrorsAfterPartial) {
   if (TIND_FAULT_INJECTION_DISABLED) GTEST_SKIP() << "fault points off";
-  ArmStreamPause();
+  ArmGroupPause();
   auto server = StartServer(ServerOptions{});
   ClientOptions client_options = ClientFor(*server);
   client_options.deadline_ms = 50;  // No degraded consent.

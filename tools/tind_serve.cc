@@ -14,10 +14,10 @@
 ///
 /// Serving knobs: --port (0 = ephemeral, printed and optionally written to
 /// --port_file), --max_inflight, --degrade_watermark, --deadline_ms,
-/// --max_deadline_ms, --io_timeout_ms, --batch_window, --linger_us,
-/// --max_connections, --memory_mb (admission MemoryBudget cap; 0 = none),
-/// --ingest (accept kApplyDelta frames for live index maintenance;
-/// off by default — without it ingest requests get FailedPrecondition).
+/// --max_deadline_ms, --io_timeout_ms, --max_connections, --memory_mb
+/// (admission MemoryBudget cap; 0 = none), --ingest (accept kApplyDelta
+/// frames for live index maintenance; off by default — without it ingest
+/// requests get FailedPrecondition).
 ///
 /// --preflight verifies the snapshot's section CRCs and performs a full
 /// load, then exits without serving — with a *distinct exit code per
@@ -199,10 +199,6 @@ int Run(const Flags& flags) {
       flags.GetInt("max_deadline_ms", options.max_deadline_ms));
   options.io_timeout_ms = static_cast<uint32_t>(
       flags.GetInt("io_timeout_ms", options.io_timeout_ms));
-  options.batch_linger_us = static_cast<uint32_t>(
-      flags.GetInt("linger_us", options.batch_linger_us));
-  options.batch_window = static_cast<size_t>(
-      flags.GetInt("batch_window", static_cast<int64_t>(options.batch_window)));
   options.max_connections = static_cast<size_t>(flags.GetInt(
       "max_connections", static_cast<int64_t>(options.max_connections)));
   if (flags.GetInt("memory_mb", 0) > 0) options.memory = &memory;
@@ -271,8 +267,7 @@ int main(int argc, char** argv) {
                  "delta", "index_seed", "no_reverse", "reverse_slices",
                  "memory_mb", "port", "max_inflight", "degrade_watermark",
                  "deadline_ms", "max_deadline_ms", "io_timeout_ms",
-                 "linger_us", "batch_window", "max_connections", "ingest",
-                 "port_file", "metrics_json"});
+                 "max_connections", "ingest", "port_file", "metrics_json"});
   flags.RejectUnread();
   return Run(flags);
 }
