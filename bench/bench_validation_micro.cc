@@ -2,7 +2,9 @@
 /// change-point interval sweep vs the naive per-timestamp validator, across
 /// history densities and δ values. The speedup grows with the ratio of
 /// timestamps to change points — the paper's corpus averages 13 changes
-/// over ~2000 daily timestamps, a ~150x sparsity factor.
+/// over ~2000 daily timestamps, a ~150x sparsity factor. The
+/// BM_RecheckCatchAll pair times the exact recheck's subset test on the
+/// catch-alls: sorted-list search against the dense membership bitmap.
 
 #include <benchmark/benchmark.h>
 
@@ -166,6 +168,100 @@ void BM_ValidateCatchAllPrepared(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * CatchAllFixture::kCandidates);
 }
 BENCHMARK(BM_ValidateCatchAllPrepared)->Unit(benchmark::kMillisecond);
+
+/// The exact recheck's catch-all shape on discover-40k: 41 catch-alls of
+/// about 5k values spread over a 189k-value dictionary, rechecked against
+/// every query's required values. The catch-alls share a popular core, and
+/// a query's 26 required values are 25 core values and one other value, so
+/// the sorted-list test probes all 26 before it decides, as measured over
+/// discover-40k's (query, catch-all) pairs.
+struct RecheckFixture {
+  static constexpr ValueId kDictionary = 188728;
+  static constexpr size_t kCatchAlls = 41;
+  static constexpr size_t kQueries = 64;
+  static constexpr size_t kCore = 4000;
+  static constexpr size_t kRequired = 26;
+  TimeDomain domain{2000};
+  std::vector<AttributeHistory> catch_alls;
+  std::vector<ValueSet> required;
+
+  RecheckFixture() {
+    Rng rng(41);
+    std::vector<ValueId> core;
+    for (size_t i = 0; i < kCore; ++i) {
+      core.push_back(static_cast<ValueId>(rng.Uniform(kDictionary / 2)));
+    }
+    for (size_t i = 0; i < kCatchAlls; ++i) {
+      std::vector<ValueId> vals = core;
+      for (size_t k = 0; k < 1000; ++k) {
+        vals.push_back(static_cast<ValueId>(rng.Uniform(kDictionary)));
+      }
+      AttributeHistoryBuilder b(static_cast<AttributeId>(i), {}, domain);
+      (void)b.AddVersion(0, ValueSet::FromUnsorted(std::move(vals)));
+      catch_alls.push_back(std::move(*b.Finish()));
+    }
+    for (size_t q = 0; q < kQueries; ++q) {
+      // The core lies in the dictionary's lower half, and the one other
+      // value is among a catch-all's largest, so it is probed last.
+      std::vector<ValueId> vals;
+      for (size_t k = 0; k + 1 < kRequired; ++k) {
+        vals.push_back(core[rng.Uniform(kCore)]);
+      }
+      const AttributeHistory& owner = catch_alls[rng.Uniform(kCatchAlls)];
+      const std::vector<ValueId>& owned = owner.AllValues().values();
+      vals.push_back(owned[owned.size() - 1 - rng.Uniform(100)]);
+      required.push_back(ValueSet::FromUnsorted(std::move(vals)));
+    }
+  }
+};
+
+RecheckFixture* GetRecheckFixture() {
+  static RecheckFixture fixture;
+  return &fixture;
+}
+
+/// Runs every query's recheck over the catch-alls with `holds`; items are
+/// queries, and "passes" counts the (query, catch-all) pairs that held.
+template <typename Holds>
+void RunRecheckCatchAll(benchmark::State& state, Holds holds) {
+  RecheckFixture* f = GetRecheckFixture();
+  size_t passes = 0;
+  for (auto _ : state) {
+    passes = 0;
+    for (const ValueSet& required : f->required) {
+      for (const AttributeHistory& c : f->catch_alls) {
+        passes += holds(c, required);
+      }
+    }
+    benchmark::DoNotOptimize(passes);
+  }
+  state.SetItemsProcessed(state.iterations() * RecheckFixture::kQueries);
+  state.counters["passes"] = static_cast<double>(passes);
+}
+
+void BM_RecheckCatchAllSorted(benchmark::State& state) {
+  // The galloping search through each catch-all's sorted A[T].
+  RunRecheckCatchAll(state,
+                     [](const AttributeHistory& c, const ValueSet& required) {
+                       return required.IsSubsetOf(c.AllValues());
+                     });
+}
+BENCHMARK(BM_RecheckCatchAllSorted);
+
+void BM_RecheckCatchAllDense(benchmark::State& state) {
+  // What RecheckStage runs: the catch-alls keep a membership bitmap.
+  for (const AttributeHistory& c : GetRecheckFixture()->catch_alls) {
+    if (!c.has_dense_membership()) {
+      state.SkipWithError("a catch-all has no dense membership bitmap");
+      return;
+    }
+  }
+  RunRecheckCatchAll(state,
+                     [](const AttributeHistory& c, const ValueSet& required) {
+                       return c.HoldsAll(required);
+                     });
+}
+BENCHMARK(BM_RecheckCatchAllDense);
 
 void BM_RequiredValuesStyleVersionScan(benchmark::State& state) {
   // Cost of one full pass over a history's versions (index-build primitive).

@@ -85,6 +85,10 @@ std::vector<double> ExponentialBuckets(double start, double factor,
 /// count/sum/min/max. Observe() is lock-free.
 class Histogram {
  public:
+  /// A histogram outside any registry, e.g. one server's own latency;
+  /// empty `bounds` means DefaultLatencyBoundsMs().
+  explicit Histogram(std::string name, std::vector<double> bounds = {});
+
   void Observe(double value);
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
@@ -104,9 +108,6 @@ class Histogram {
   const std::string& name() const { return name_; }
 
  private:
-  friend class MetricsRegistry;
-  Histogram(std::string name, std::vector<double> bounds);
-
   std::string name_;
   std::vector<double> bounds_;
   std::unique_ptr<std::atomic<uint64_t>[]> buckets_;

@@ -208,7 +208,7 @@ Result<TindServer::IngestResult> TindServer::ApplyDelta(
 }
 
 double TindServer::LatencyPercentileMs(double p) const {
-  return latency_ms_ != nullptr ? latency_ms_->Percentile(p) : 0;
+  return own_latency_ms_.Percentile(p);
 }
 
 void TindServer::AcceptLoop() {
@@ -603,7 +603,9 @@ void TindServer::RunGroup(const std::vector<PendingRequest*>& requests,
       TIND_OBS_COUNTER_ADD("serve/degraded", 1);
     }
     completed_.fetch_add(1);
-    latency_ms_->Observe(MillisSince(request.admitted));
+    const double latency_ms = MillisSince(request.admitted);
+    latency_ms_->Observe(latency_ms);
+    own_latency_ms_.Observe(latency_ms);
     SendToConnection(request.conn, type, request.request_id, payload);
     FinishRequest(request);
   }

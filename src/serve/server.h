@@ -143,7 +143,8 @@ class TindServer {
   /// construction, incremented per applied delta).
   uint64_t epoch_sequence() const;
 
-  /// p50/p99 of accepted-request latency in ms (admission → response).
+  /// p50/p99 of accepted-request latency in ms (admission → response), over
+  /// this server's requests only.
   double LatencyPercentileMs(double p) const;
 
  private:
@@ -235,7 +236,11 @@ class TindServer {
 
   /// Always-on latency histogram (registered in the global registry under
   /// "serve/latency_ms" but recorded directly, bypassing the enable gate).
+  /// Every server in a process shares it.
   obs::Histogram* latency_ms_ = nullptr;
+  /// This server's own copy of latency_ms_'s observations, which
+  /// LatencyPercentileMs reads.
+  obs::Histogram own_latency_ms_{"serve/latency_ms"};
   /// Time-to-first-result for streaming requests (admission → partial
   /// frame), recorded directly like latency_ms_.
   obs::Histogram* ttfr_ms_ = nullptr;

@@ -67,7 +67,38 @@ size_t AttributeHistory::MemoryUsageBytes() const {
   size_t bytes = change_timestamps_.capacity() * sizeof(Timestamp);
   for (const auto& v : versions_) bytes += v.MemoryUsageBytes();
   bytes += all_values_.MemoryUsageBytes();
+  bytes += all_values_bits_.capacity() * sizeof(uint64_t);
   return bytes;
+}
+
+bool AttributeHistory::HoldsAll(const ValueSet& values) const {
+  if (all_values_bits_.empty()) return values.IsSubsetOf(all_values_);
+  const size_t words = all_values_bits_.size();
+  for (const ValueId v : values.values()) {
+    const size_t w = v >> 6;
+    if (w >= words || ((all_values_bits_[w] >> (v & 63)) & 1) == 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void AttributeHistory::ComputeAllValues() {
+  std::vector<const ValueSet*> sets;
+  sets.reserve(versions_.size());
+  for (const auto& v : versions_) sets.push_back(&v);
+  all_values_ = ValueSet::UnionOf(sets);
+  const std::vector<ValueId>& ids = all_values_.values();
+  const size_t words = ids.empty() ? 0 : ids.back() / 64 + 1;
+  if (words == 0 || words * sizeof(uint64_t) >
+                        kDenseMembershipRatio * ids.size() * sizeof(ValueId)) {
+    all_values_bits_ = std::vector<uint64_t>();
+    return;
+  }
+  all_values_bits_.assign(words, 0);
+  for (const ValueId v : ids) {
+    all_values_bits_[v >> 6] |= uint64_t{1} << (v & 63);
+  }
 }
 
 Status AttributeHistory::AppendVersion(Timestamp t, ValueSet values) {
@@ -100,10 +131,7 @@ Status AttributeHistory::AppendVersion(Timestamp t, ValueSet values) {
     change_timestamps_.push_back(t);
     versions_.push_back(std::move(values));
   }
-  std::vector<const ValueSet*> sets;
-  sets.reserve(versions_.size());
-  for (const auto& v : versions_) sets.push_back(&v);
-  all_values_ = ValueSet::UnionOf(sets);
+  ComputeAllValues();
   return Status::OK();
 }
 
@@ -165,10 +193,7 @@ Result<AttributeHistory> AttributeHistoryBuilder::Finish() {
   h.domain_size_ = domain_size_;
   h.change_timestamps_ = std::move(change_timestamps_);
   h.versions_ = std::move(versions_);
-  std::vector<const ValueSet*> sets;
-  sets.reserve(h.versions_.size());
-  for (const auto& v : h.versions_) sets.push_back(&v);
-  h.all_values_ = ValueSet::UnionOf(sets);
+  h.ComputeAllValues();
   return h;
 }
 

@@ -92,6 +92,18 @@ class AttributeHistory {
   /// A[T]: every value that ever appeared (cached at construction).
   const ValueSet& AllValues() const { return all_values_; }
 
+  /// True iff every value of `values` is in A[T]: exactly
+  /// `values.IsSubsetOf(AllValues())`. It tests bits when the history keeps
+  /// a dense membership bitmap of A[T] and searches the sorted list
+  /// otherwise. The exact recheck asks this of every candidate, and at scale
+  /// its candidates are mostly the catch-alls, which all keep the bitmap.
+  bool HoldsAll(const ValueSet& values) const;
+
+  /// True iff HoldsAll tests bits: the bitmap over ids [0, max A[T]] costs
+  /// at most kDenseMembershipRatio times the bytes of the sorted list.
+  bool has_dense_membership() const { return !all_values_bits_.empty(); }
+  static constexpr size_t kDenseMembershipRatio = 2;
+
   /// Median cardinality across versions (corpus filtering, Section 5.1).
   size_t MedianCardinality() const;
 
@@ -116,12 +128,19 @@ class AttributeHistory {
  private:
   friend class AttributeHistoryBuilder;
 
+  /// Recomputes A[T] from the versions and, under the size rule of
+  /// has_dense_membership(), its bitmap; drops the bitmap otherwise.
+  void ComputeAllValues();
+
   AttributeId id_ = kInvalidAttributeId;
   AttributeMeta meta_;
   int64_t domain_size_ = 0;
   std::vector<Timestamp> change_timestamps_;
   std::vector<ValueSet> versions_;
   ValueSet all_values_;
+  /// Bit v is set iff v is in all_values_; empty when the size rule says
+  /// no. A cache derived from the versions: snapshots never store it.
+  std::vector<uint64_t> all_values_bits_;
 };
 
 /// \brief Incrementally assembles an AttributeHistory from observations.

@@ -55,6 +55,10 @@ class Dataset {
     return attributes_;
   }
 
+  /// Reserves room for `n` histories, so that many Add calls do not
+  /// reallocate.
+  void Reserve(size_t n) { attributes_.reserve(n); }
+
   /// Appends a history; its id must equal its position.
   void Add(AttributeHistory history) {
     attributes_.push_back(std::move(history));

@@ -425,20 +425,21 @@ void TindIndex::RecheckStage(Group* g) const {
     // Exact required-values recheck to shed Bloom false positives
     // (Algorithm 1, line 16). By default it runs before the slices: the
     // false positives are mostly catch-alls whose saturated slice columns
-    // would be probed for nothing.
+    // would be probed for nothing. Those catch-alls keep a dense
+    // membership bitmap, so HoldsAll tests their bits.
     if (g->forward && !g->required[b].empty()) {
       const ValueSet& required = g->required[b];
       cand.ForEachSet([&](size_t c) {
-        if (!required.IsSubsetOf(
-                dataset_->attribute(static_cast<AttributeId>(c)).AllValues())) {
+        if (!dataset_->attribute(static_cast<AttributeId>(c))
+                 .HoldsAll(required)) {
           cand.Clear(c);
         }
       });
     }
     if (!g->forward && reverse_usable) {
-      const ValueSet& query_all = g->queries[b]->AllValues();
+      const AttributeHistory& query = *g->queries[b];
       cand.ForEachSet([&](size_t c) {
-        if (!required_values_[c].IsSubsetOf(query_all)) cand.Clear(c);
+        if (!query.HoldsAll(required_values_[c])) cand.Clear(c);
       });
     }
     g->stats[b].after_exact_check = cand.Count();

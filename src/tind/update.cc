@@ -38,6 +38,8 @@ Result<DeltaApplication> ApplyDeltaToDataset(const Dataset& base,
   // revisions intern values, so concurrent readers never race with ingest.
   auto dict = std::make_shared<ValueDictionary>(base.dictionary());
   out.dataset = std::make_shared<Dataset>(base.domain(), dict);
+  // Each op adds at most one history.
+  out.dataset->Reserve(base.size() + delta.ops.size());
   for (const AttributeHistory& h : base.attributes()) out.dataset->Add(h);
   Dataset& ds = *out.dataset;
 

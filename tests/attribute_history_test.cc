@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "temporal/dataset.h"
 
 namespace tind {
@@ -197,6 +201,181 @@ TEST(AttributeHistoryTest, MetaAndId) {
   ASSERT_TRUE(h.ok());
   EXPECT_EQ(h->id(), 42u);
   EXPECT_EQ(h->meta().FullName(), "Page/Table/Col");
+}
+
+/// The side of the size rule A[T] falls on: a bitmap over ids [0, max] that
+/// costs at most kDenseMembershipRatio times the sorted list's bytes.
+bool DenseBySizeRule(const ValueSet& all) {
+  if (all.empty()) return false;
+  const size_t words = all.values().back() / 64 + 1;
+  return words * sizeof(uint64_t) <= AttributeHistory::kDenseMembershipRatio *
+                                         all.size() * sizeof(ValueId);
+}
+
+/// HoldsAll must equal IsSubsetOf(AllValues()) on the empty set, on random
+/// subsets of A[T], on those subsets plus one id that may be missing (in
+/// A[T]'s range, in the bitmap's last word, past it, at the top of the id
+/// space) and on random sets over the whole range.
+void ExpectHoldsAllMatchesIsSubsetOf(const AttributeHistory& h, Rng* rng,
+                                     const std::string& context) {
+  const ValueSet& all = h.AllValues();
+  EXPECT_EQ(h.has_dense_membership(), DenseBySizeRule(all)) << context;
+  const auto check = [&](std::vector<ValueId> ids) {
+    const ValueSet q = ValueSet::FromUnsorted(std::move(ids));
+    EXPECT_EQ(h.HoldsAll(q), q.IsSubsetOf(all))
+        << context << " |q|=" << q.size();
+  };
+  check({});
+  const ValueId max_id = all.empty() ? 0 : all.values().back();
+  const ValueId past_last_word = (max_id / 64 + 1) * 64;
+  check({max_id + 1});
+  check({past_last_word - 1});
+  check({past_last_word});
+  check({kInvalidValueId - 1});
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<ValueId> ids;
+    for (const ValueId v : all.values()) {
+      if (rng->Bernoulli(0.3)) ids.push_back(v);
+    }
+    check(ids);
+    for (const ValueId extra :
+         {static_cast<ValueId>(rng->Uniform(uint64_t{max_id} + 2)),
+          static_cast<ValueId>(past_last_word + rng->Uniform(1000)),
+          kInvalidValueId - 1}) {
+      std::vector<ValueId> with_extra = ids;
+      with_extra.push_back(extra);
+      check(std::move(with_extra));
+    }
+    std::vector<ValueId> anywhere;
+    for (uint64_t k = rng->Uniform(4); k > 0; --k) {
+      anywhere.push_back(
+          static_cast<ValueId>(rng->Uniform(uint64_t{past_last_word} + 64)));
+    }
+    check(std::move(anywhere));
+  }
+}
+
+TEST(AttributeHistoryHoldsAllTest, MatchesIsSubsetOfOnBothSidesOfSizeRule) {
+  const TimeDomain domain(100);
+  Rng rng(2024);
+  size_t dense = 0;
+  size_t sparse = 0;
+  constexpr uint64_t kUniverses[] = {64, 500, 5000, 100000};
+  for (int trial = 0; trial < 200; ++trial) {
+    const uint64_t universe = kUniverses[rng.Uniform(4)];
+    AttributeHistoryBuilder b(0, {}, domain);
+    const uint64_t versions = 1 + rng.Uniform(4);
+    for (uint64_t v = 0; v < versions; ++v) {
+      std::vector<ValueId> ids;
+      for (uint64_t k = 1 + rng.Uniform(300); k > 0; --k) {
+        ids.push_back(static_cast<ValueId>(rng.Uniform(universe)));
+      }
+      ASSERT_TRUE(b.AddVersion(static_cast<Timestamp>(10 * v),
+                               ValueSet::FromUnsorted(std::move(ids)))
+                      .ok());
+    }
+    const AttributeHistory h = std::move(b.Finish()).ValueOrDie();
+    (h.has_dense_membership() ? dense : sparse) += 1;
+    ExpectHoldsAllMatchesIsSubsetOf(h, &rng,
+                                    "trial " + std::to_string(trial));
+  }
+  EXPECT_GT(dense, 20u);
+  EXPECT_GT(sparse, 20u);
+}
+
+TEST(AttributeHistoryHoldsAllTest, SizeRuleBoundary) {
+  // n values: a maximum of 64n - 1 needs n words (8n bytes, twice the list's
+  // 4n) and keeps the bitmap; a maximum of 64n needs one word more.
+  const TimeDomain domain(10);
+  Rng rng(7);
+  for (const ValueId n : {1u, 2u, 10u, 100u}) {
+    for (const ValueId max_id : {64 * n - 1, 64 * n}) {
+      std::vector<ValueId> ids;
+      for (ValueId v = 0; v + 1 < n; ++v) ids.push_back(v);
+      ids.push_back(max_id);
+      const AttributeHistory h = MakeHistory(
+          domain, {{0, ValueSet::FromSorted(std::move(ids))}});
+      EXPECT_EQ(h.has_dense_membership(), max_id < 64 * n) << max_id;
+      ExpectHoldsAllMatchesIsSubsetOf(h, &rng,
+                                      "max_id " + std::to_string(max_id));
+    }
+  }
+}
+
+TEST(AttributeHistoryHoldsAllTest, AppendMaintainsTheBitmap) {
+  const TimeDomain domain(100);
+  Rng rng(11);
+  std::vector<ValueId> base;
+  for (ValueId v = 0; v < 100; ++v) base.push_back(v);
+  AttributeHistory h =
+      MakeHistory(domain, {{0, ValueSet::FromSorted(base)}});
+  ASSERT_TRUE(h.has_dense_membership());
+
+  // A new maximum that the size rule still allows: the bitmap widens.
+  ASSERT_TRUE(h.AppendVersion(10, ValueSet{5000}).ok());
+  EXPECT_TRUE(h.has_dense_membership());
+  EXPECT_TRUE(h.HoldsAll(ValueSet{0, 99, 5000}));
+  EXPECT_FALSE(h.HoldsAll(ValueSet{4999}));
+  EXPECT_FALSE(h.HoldsAll(ValueSet{5001}));
+  ExpectHoldsAllMatchesIsSubsetOf(h, &rng, "widened");
+
+  // A maximum past the size rule: the bitmap is dropped.
+  ASSERT_TRUE(h.AppendVersion(20, ValueSet{200000}).ok());
+  EXPECT_FALSE(h.has_dense_membership());
+  EXPECT_TRUE(h.HoldsAll(ValueSet{5, 5000, 200000}));
+  ExpectHoldsAllMatchesIsSubsetOf(h, &rng, "dropped");
+
+  // A same-day overwrite takes the far value back out: dense again.
+  ASSERT_TRUE(h.AppendVersion(20, ValueSet{7}).ok());
+  EXPECT_TRUE(h.has_dense_membership());
+  EXPECT_FALSE(h.HoldsAll(ValueSet{200000}));
+  ExpectHoldsAllMatchesIsSubsetOf(h, &rng, "overwritten");
+
+  // A retire (empty version) keeps A[T] and its bitmap.
+  const ValueSet before = h.AllValues();
+  ASSERT_TRUE(h.AppendVersion(30, ValueSet()).ok());
+  EXPECT_TRUE(h.VersionAt(30).empty());
+  EXPECT_EQ(h.AllValues(), before);
+  EXPECT_TRUE(h.has_dense_membership());
+  EXPECT_TRUE(h.HoldsAll(before));
+  ExpectHoldsAllMatchesIsSubsetOf(h, &rng, "retired");
+}
+
+TEST(AttributeHistoryHoldsAllTest, CoalescedSameDayAppendShrinksTheBitmap) {
+  const TimeDomain domain(100);
+  Rng rng(13);
+  std::vector<ValueId> base;
+  for (ValueId v = 0; v < 100; ++v) base.push_back(v);
+  AttributeHistory h =
+      MakeHistory(domain, {{0, ValueSet::FromSorted(base)}});
+  std::vector<ValueId> grown = base;
+  grown.push_back(6000);
+  ASSERT_TRUE(h.AppendVersion(5, ValueSet::FromSorted(grown)).ok());
+  EXPECT_TRUE(h.HoldsAll(ValueSet{6000}));
+  // The same day, back to the first version: the two coalesce, and 6000
+  // leaves A[T] and its bitmap.
+  ASSERT_TRUE(h.AppendVersion(5, ValueSet::FromSorted(base)).ok());
+  EXPECT_EQ(h.num_versions(), 1u);
+  EXPECT_TRUE(h.has_dense_membership());
+  EXPECT_FALSE(h.HoldsAll(ValueSet{6000}));
+  EXPECT_TRUE(h.HoldsAll(ValueSet::FromSorted(base)));
+  ExpectHoldsAllMatchesIsSubsetOf(h, &rng, "coalesced");
+  // An append equal to the last version is a no-op.
+  ASSERT_TRUE(h.AppendVersion(8, ValueSet::FromSorted(base)).ok());
+  ExpectHoldsAllMatchesIsSubsetOf(h, &rng, "unchanged");
+}
+
+TEST(AttributeHistoryHoldsAllTest, MemoryUsageCountsTheBitmap) {
+  const TimeDomain domain(10);
+  std::vector<ValueId> ids;
+  for (ValueId v = 0; v < 1000; ++v) ids.push_back(v);
+  const AttributeHistory h =
+      MakeHistory(domain, {{0, ValueSet::FromSorted(std::move(ids))}});
+  ASSERT_TRUE(h.has_dense_membership());
+  const size_t lists = h.change_timestamps().capacity() * sizeof(Timestamp) +
+                       h.versions()[0].MemoryUsageBytes() +
+                       h.AllValues().MemoryUsageBytes();
+  EXPECT_GE(h.MemoryUsageBytes(), lists + 16 * sizeof(uint64_t));
 }
 
 TEST(DatasetTest, StatsComputation) {

@@ -416,6 +416,24 @@ TEST_F(ServeTest, ProtocolErrorsMatchTheRegistry) {
   EXPECT_EQ(registry->value() - before, server->counters().protocol_errors);
 }
 
+TEST_F(ServeTest, LatencyPercentilesCountOnlyThisServersRequests) {
+  const obs::Histogram* registry =
+      obs::MetricsRegistry::Global().GetHistogram("serve/latency_ms");
+  const uint64_t before = registry->count();
+  auto busy = StartServer(ServerOptions{});
+  auto idle = StartServer(ServerOptions{});
+  TindClient client(ClientFor(*busy));
+  for (AttributeId attr = 0; attr < 5; ++attr) {
+    ASSERT_TRUE(client.Search(attr).ok());
+  }
+  busy->Shutdown();
+  idle->Shutdown();
+  EXPECT_GT(busy->LatencyPercentileMs(99), 0);
+  EXPECT_EQ(idle->LatencyPercentileMs(99), 0);
+  // The registry's serve/latency_ms still sees every server's requests.
+  EXPECT_EQ(registry->count() - before, busy->counters().completed);
+}
+
 TEST_F(ServeTest, SlowLorisConnectionIsCutWithoutHangingTheServer) {
   ServerOptions options;
   options.io_timeout_ms = 100;
