@@ -239,8 +239,12 @@ class TindServer {
   /// Every server in a process shares it.
   obs::Histogram* latency_ms_ = nullptr;
   /// This server's own copy of latency_ms_'s observations, which
-  /// LatencyPercentileMs reads.
-  obs::Histogram own_latency_ms_{"serve/latency_ms"};
+  /// LatencyPercentileMs reads. Percentiles interpolate inside one bucket,
+  /// so its bounds are 25% apart (0.01 ms to about 76 s) rather than the
+  /// registry's two per decade, whose (100, 500] ms bucket reads any p99
+  /// near a 500 ms deadline as wherever the interpolation lands.
+  obs::Histogram own_latency_ms_{"serve/latency_ms",
+                                 obs::ExponentialBuckets(0.01, 1.25, 72)};
   /// Time-to-first-result for streaming requests (admission → partial
   /// frame), recorded directly like latency_ms_.
   obs::Histogram* ttfr_ms_ = nullptr;

@@ -122,7 +122,8 @@ class AttributeHistory {
   /// same-timestamp overwrite wins, equal-to-previous coalesce) and
   /// recomputes the AllValues() cache. Only the ingest path mutates
   /// histories; queries never observe a history mid-append because the
-  /// updater works on a private copy (see tind/update.h).
+  /// updater appends to a private clone that no published dataset holds
+  /// yet (see tind/update.h).
   Status AppendVersion(Timestamp t, ValueSet values);
 
  private:

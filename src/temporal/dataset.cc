@@ -11,7 +11,7 @@ DatasetStats Dataset::ComputeStats() const {
   size_t total_cardinality = 0;
   size_t total_versions = 0;
   size_t memory = dictionary_->MemoryUsageBytes();
-  for (const auto& attr : attributes_) {
+  for (const AttributeHistory& attr : attributes()) {
     total_changes += attr.num_changes();
     total_lifetime += attr.LifetimeTimestamps();
     total_versions += attr.num_versions();

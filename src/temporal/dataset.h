@@ -5,7 +5,8 @@
 /// The input of tIND discovery: the set of attributes D (Section 3.1),
 /// i.e. a time domain, a shared value dictionary, and one AttributeHistory
 /// per attribute. Datasets are built once and then shared read-only across
-/// query threads.
+/// query threads; a live-ingest epoch is a new dataset that shares the
+/// untouched histories and the dictionary's base with the one before it.
 
 #include <memory>
 #include <vector>
@@ -28,8 +29,39 @@ struct DatasetStats {
 };
 
 /// \brief A set of attribute histories over one time domain.
+///
+/// Histories are held by shared pointers to immutable objects, so epochs
+/// share them: the live-ingest path (tind/update.h) builds the next epoch by
+/// copying the pointers and replacing only the histories a delta touches.
 class Dataset {
+  using HistoryPtrs = std::vector<std::shared_ptr<const AttributeHistory>>;
+
  public:
+  /// The histories in id order, each element a `const AttributeHistory&`.
+  class Histories {
+   public:
+    class Iterator {
+     public:
+      explicit Iterator(HistoryPtrs::const_iterator it) : it_(it) {}
+      const AttributeHistory& operator*() const { return **it_; }
+      Iterator& operator++() {
+        ++it_;
+        return *this;
+      }
+      bool operator!=(const Iterator& other) const { return it_ != other.it_; }
+
+     private:
+      HistoryPtrs::const_iterator it_;
+    };
+
+    explicit Histories(const HistoryPtrs& ptrs) : ptrs_(&ptrs) {}
+    Iterator begin() const { return Iterator(ptrs_->begin()); }
+    Iterator end() const { return Iterator(ptrs_->end()); }
+
+   private:
+    const HistoryPtrs* ptrs_;
+  };
+
   Dataset() = default;
   Dataset(TimeDomain domain, std::shared_ptr<ValueDictionary> dictionary)
       : domain_(domain), dictionary_(std::move(dictionary)) {}
@@ -43,17 +75,13 @@ class Dataset {
 
   size_t size() const { return attributes_.size(); }
   const AttributeHistory& attribute(AttributeId id) const {
+    return *attributes_[id];
+  }
+  std::shared_ptr<const AttributeHistory> shared_attribute(
+      AttributeId id) const {
     return attributes_[id];
   }
-  /// Mutable history access for the live-ingest path (tind/update.h), which
-  /// appends revisions to a *private copy* of the dataset; shared datasets
-  /// stay read-only.
-  AttributeHistory* mutable_attribute(AttributeId id) {
-    return &attributes_[id];
-  }
-  const std::vector<AttributeHistory>& attributes() const {
-    return attributes_;
-  }
+  Histories attributes() const { return Histories(attributes_); }
 
   /// Reserves room for `n` histories, so that many Add calls do not
   /// reallocate.
@@ -61,7 +89,18 @@ class Dataset {
 
   /// Appends a history; its id must equal its position.
   void Add(AttributeHistory history) {
+    Add(std::make_shared<const AttributeHistory>(std::move(history)));
+  }
+  void Add(std::shared_ptr<const AttributeHistory> history) {
     attributes_.push_back(std::move(history));
+  }
+
+  /// Points slot `id` at `history` (same id). Other datasets sharing the
+  /// old history keep it: this is how an epoch replaces what a delta
+  /// touched without copying the rest.
+  void Replace(AttributeId id,
+               std::shared_ptr<const AttributeHistory> history) {
+    attributes_[id] = std::move(history);
   }
 
   /// Computes the Section-5.1-style summary statistics.
@@ -71,7 +110,7 @@ class Dataset {
   TimeDomain domain_;
   std::shared_ptr<ValueDictionary> dictionary_ =
       std::make_shared<ValueDictionary>();
-  std::vector<AttributeHistory> attributes_;
+  HistoryPtrs attributes_;
 };
 
 }  // namespace tind

@@ -34,15 +34,29 @@ size_t RowWords(size_t columns) { return PadWordCount((columns + 63) / 64); }
 Result<DeltaApplication> ApplyDeltaToDataset(const Dataset& base,
                                              const RevisionDelta& delta) {
   DeltaApplication out;
-  // Deep-copy the dictionary: the base epoch must stay immutable while new
-  // revisions intern values, so concurrent readers never race with ingest.
+  // The copy shares the base dictionary's strings and interns into a private
+  // overlay; the published base is never appended to.
   auto dict = std::make_shared<ValueDictionary>(base.dictionary());
   out.dataset = std::make_shared<Dataset>(base.domain(), dict);
   // Each op adds at most one history.
   out.dataset->Reserve(base.size() + delta.ops.size());
-  for (const AttributeHistory& h : base.attributes()) out.dataset->Add(h);
+  for (AttributeId id = 0; id < base.size(); ++id) {
+    out.dataset->Add(base.shared_attribute(id));
+  }
   Dataset& ds = *out.dataset;
 
+  // Histories this delta owns: a clone made the first time an op touches an
+  // existing history (copy-on-write), or an added one. Ops mutate only these;
+  // every other history stays shared with the base.
+  std::unordered_map<AttributeId, std::shared_ptr<AttributeHistory>> owned;
+  const auto writable = [&](AttributeId id) {
+    std::shared_ptr<AttributeHistory>& history = owned[id];
+    if (history == nullptr) {
+      history = std::make_shared<AttributeHistory>(ds.attribute(id));
+      ds.Replace(id, history);
+    }
+    return history.get();
+  };
   const auto mark_dirty = [&out](AttributeId id, Timestamp t) {
     const auto [it, inserted] = out.dirty.emplace(id, t);
     if (!inserted && t < it->second) it->second = t;
@@ -57,7 +71,7 @@ Result<DeltaApplication> ApplyDeltaToDataset(const Dataset& base,
         }
         ValueSet values =
             InternValues(dict.get(), op.values, &out.dictionary_grew);
-        TIND_RETURN_IF_ERROR(ds.mutable_attribute(op.attribute)
+        TIND_RETURN_IF_ERROR(writable(op.attribute)
                                  ->AppendVersion(op.timestamp,
                                                  std::move(values)));
         ++out.versions_appended;
@@ -77,7 +91,9 @@ Result<DeltaApplication> ApplyDeltaToDataset(const Dataset& base,
           return Status::InvalidArgument("added attribute has no versions: " +
                                          history.status().message());
         }
-        ds.Add(std::move(*history));
+        auto added = std::make_shared<AttributeHistory>(std::move(*history));
+        owned.emplace(id, added);
+        ds.Add(std::move(added));
         ++out.attributes_added;
         mark_dirty(id, 0);
         break;
@@ -88,8 +104,7 @@ Result<DeltaApplication> ApplyDeltaToDataset(const Dataset& base,
               "retire of unknown attribute " + std::to_string(op.attribute));
         }
         TIND_RETURN_IF_ERROR(
-            ds.mutable_attribute(op.attribute)
-                ->AppendVersion(op.timestamp, ValueSet()));
+            writable(op.attribute)->AppendVersion(op.timestamp, ValueSet()));
         ++out.attributes_retired;
         mark_dirty(op.attribute, op.timestamp);
         break;

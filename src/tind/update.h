@@ -7,9 +7,14 @@
 /// TindIndex without a rebuild.
 ///
 /// The updater never mutates the base dataset or index. It produces a *new*
-/// dataset (deep-copied histories + deep-copied dictionary, so concurrent
-/// readers of the old epoch race with nothing) and a *new* index whose
-/// matrices are cloned from the base and patched column-wise:
+/// dataset that shares everything the delta leaves alone: the pointers to
+/// untouched histories are copied, a history is cloned the first time an op
+/// touches it, and the dictionary shares the base's strings and interns the
+/// delta's new ones into a private overlay (temporal/value_dictionary.h).
+/// Nothing an older epoch can see is ever written, so its concurrent
+/// readers race with nothing, and the dataset side of an apply costs the
+/// delta (touched histories + new strings), not the corpus. The *new* index
+/// has matrices cloned from the base and patched column-wise:
 ///
 ///  * M_T: the column of every dirty attribute is cleared and re-set from
 ///    its new AllValues(); clean columns are byte-copied.
@@ -95,11 +100,13 @@ struct DeltaApplication {
   bool dictionary_grew = false;
 };
 
-/// Applies `delta` to a deep copy of `base` (histories and dictionary; the
-/// base is never touched). Both the incremental path and the fresh-rebuild
-/// oracle of the differential test run through this one function, so value
-/// interning order — and therefore every ValueId and Bloom bit — is
-/// identical on both sides by construction. Ops are applied in order;
+/// Applies `delta` to a new epoch of `base`: it shares the histories the
+/// delta does not touch and the base's dictionary strings, clones each
+/// touched history once, and interns new values into its own dictionary
+/// overlay (the base is never touched). Both the incremental path and the
+/// fresh-rebuild oracle of the differential test run through this one
+/// function, so value interning order — and therefore every ValueId and
+/// Bloom bit — is identical on both sides by construction. Ops are applied in order;
 /// validation errors (unknown attribute, out-of-domain or non-increasing
 /// timestamp, empty kAddAttribute) reject the whole delta.
 Result<DeltaApplication> ApplyDeltaToDataset(const Dataset& base,
